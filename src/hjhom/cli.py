@@ -100,6 +100,13 @@ def merged(ctx_params: dict, config_path) -> dict:
     return cfg
 
 
+def output_dir(flag, cfg: dict) -> Path:
+    """The artifact directory: --out-dir, else the config's, else "."; created."""
+    out = Path(flag or cfg.get("out_dir") or ".")
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 @click.group()
 def main():
     """Effective-Hamiltonian computations for periodic viscous Hamilton-Jacobi
@@ -138,13 +145,12 @@ def sweep(hamiltonian, potential, theta, grid_n, jobs, out, config):
 @click.option("--p2", type=float, default=None, help="right certified momentum")
 @click.option("--modify", default=None,
               help="p_star:p_upper window for the convex-to-quasiconvex builder")
-@click.option("--out-dir", default=".", show_default=True)
+@click.option("--out-dir", default=None, help="artifact directory  [default: .]")
 @click.option("--config", default=None, type=click.Path(exists=True))
 def synthesize(hamiltonian, p1, p2, modify, out_dir, config):
     """Build a counterexample bundle (potential + profile) for a Hamiltonian."""
     cfg = merged({"hamiltonian": hamiltonian, "p1": p1, "p2": p2}, config)
-    out = Path(cfg.get("out_dir", out_dir))
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(out_dir, cfg)
     G = resolve_hamiltonian(cfg["hamiltonian"])
     if modify:
         lo, hi = (float(t) for t in modify.split(":"))
@@ -179,15 +185,14 @@ def synthesize(hamiltonian, p1, p2, modify, out_dir, config):
 @click.option("--points", type=int, default=None, help="sweep points")
 @click.option("--grid-n", type=int, default=None)
 @click.option("--jobs", type=int, default=None, envvar="HJC_JOBS")
-@click.option("--out-dir", default=".", show_default=True)
+@click.option("--out-dir", default=None, help="artifact directory  [default: .]")
 @click.option("--config", default=None, type=click.Path(exists=True))
 def certify(bundle_path, points, grid_n, jobs, out_dir, config):
     """Certify loss of quasiconvexity for a synthesized bundle.
 
     Exit status 2 when no certificate is found."""
     cfg = merged({"points": points, "grid_n": grid_n, "jobs": jobs}, config)
-    out = Path(cfg.get("out_dir", out_dir))
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(out_dir, cfg)
     bundle = pipeline.load_bundle(bundle_path)
     jobs = cfg.get("jobs") or 1
     try:
@@ -229,13 +234,12 @@ def certify(bundle_path, points, grid_n, jobs, out_dir, config):
 @click.option("--n-x", type=int, default=None)
 @click.option("--dump-corrector", default=None, type=click.Path(),
               help="also write the solved corrector profile as x,f_theta")
-@click.option("--out-dir", default=".", show_default=True)
+@click.option("--out-dir", default=None, help="artifact directory  [default: .]")
 @click.option("--config", default=None, type=click.Path(exists=True))
 def verify_pde(bundle_path, theta, t_final, n_x, dump_corrector, out_dir, config):
     """Cross-check a bundle's effective Hamiltonian by long-time integration."""
     cfg = merged({"t_final": t_final, "n_x": n_x}, config)
-    out = Path(cfg.get("out_dir", out_dir))
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(out_dir, cfg)
     bundle = pipeline.load_bundle(bundle_path)
     th = bundle.theta0 if theta == "theta0" else float(theta)
     corr = cell.solve_cell(bundle.G, bundle.V, th,
@@ -247,7 +251,8 @@ def verify_pde(bundle_path, theta, t_final, n_x, dump_corrector, out_dir, config
                               t_final=cfg["t_final"])
     report = {"theta": th, "slope": run.slope, "hbar_cell": corr.hbar,
               "abs_diff": abs(run.slope - corr.hbar), "n_x": run.n_x,
-              "dt": run.dt, "mode": run.mode, "bound_ok": run.bound_ok}
+              "dt": run.dt, "slope_ci": run.slope_ci, "retries": run.retries,
+              "mode": run.mode, "bound_ok": run.bound_ok}
     (out / "pde_report.json").write_text(json.dumps(report, indent=2))
     write_csv(out / "pde_runlog.csv", ["t", "mean_w", "max_w", "min_w"], run.trace)
     click.echo(f"slope={run.slope:.6g} hbar={corr.hbar:.6g} "
@@ -283,7 +288,7 @@ def oracle(potential, theta, n_x, out):
 @click.option("--samples", type=int, default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--points", type=int, default=None)
-@click.option("--out-dir", default=".", show_default=True)
+@click.option("--out-dir", default=None, help="artifact directory  [default: .]")
 @click.option("--config", default=None, type=click.Path(exists=True))
 def multid_cmd(hamiltonian, dimension, r_fractions, samples, seed, points,
                out_dir, config):
@@ -292,8 +297,7 @@ def multid_cmd(hamiltonian, dimension, r_fractions, samples, seed, points,
     cfg = merged({"hamiltonian": hamiltonian, "dimension": dimension,
                   "r_fractions": r_fractions, "samples": samples,
                   "seed": seed, "points": points}, config)
-    out = Path(cfg.get("out_dir", out_dir))
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(out_dir, cfg)
     res = pipeline.run_pipeline(cfg["hamiltonian"])
     sys_d = multid.build_separable_system(res, cfg["dimension"])
     reports = {}
@@ -326,15 +330,14 @@ def multid_cmd(hamiltonian, dimension, r_fractions, samples, seed, points,
 
 @main.command()
 @click.option("--preset", type=click.Choice(sorted(FIGURE_PRESETS)), required=True)
-@click.option("--out-dir", default=".", show_default=True)
+@click.option("--out-dir", default=None, help="artifact directory  [default: .]")
 @click.option("--points", type=int, default=None)
 @click.option("--config", default=None, type=click.Path(exists=True))
 def figures(preset, out_dir, points, config):
     """Emit plot-ready CSVs for a preset: base and modified Hamiltonian curves,
     the synthesized profile and potential, and the effective-Hamiltonian bump."""
     cfg = merged({"points": points}, config)
-    out = Path(cfg.get("out_dir", out_dir))
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(out_dir, cfg)
     preset_cfg = FIGURE_PRESETS[preset]
     base = get_hamiltonian(preset_cfg["base"])
     mod = get_hamiltonian(preset_cfg["modified"])

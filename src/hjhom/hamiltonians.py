@@ -24,8 +24,8 @@ BUMP_D1_MAX = 96.0 / (25.0 * math.sqrt(5.0))
 
 def bump_psi(p):
     """C^2 bump: (1-p^2)^3 on [-1, 1], zero outside."""
-    t2 = np.minimum(np.square(np.asarray(p, dtype=float)), 1.0)
-    return (1.0 - t2) ** 3
+    u = 1.0 - np.minimum(np.square(np.asarray(p, dtype=float)), 1.0)
+    return u * u * u   # products: an array power goes through libm pow
 
 
 def bump_psi_d1(p):
@@ -129,10 +129,14 @@ def _flat_quartic() -> Hamiltonian1D:
     def q(p):
         return np.maximum(np.abs(np.asarray(p, dtype=float)), 1.0) - 1.0
 
+    def d1(p):
+        qp = q(p)   # products, not array powers: those go through libm pow
+        return 2.0 * qp * qp * qp * np.sign(np.asarray(p, dtype=float))
+
     return Hamiltonian1D(
         "flat_quartic",
-        lambda p: 0.5 * q(p) ** 4,
-        lambda p: 2.0 * q(p) ** 3 * np.sign(np.asarray(p, dtype=float)),
+        lambda p: 0.5 * np.square(np.square(q(p))),
+        d1,
         lambda p: 6.0 * q(p) ** 2,
         growth=(4.0, 1.0 / 32.0, 0.5),
     )

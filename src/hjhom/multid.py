@@ -20,7 +20,7 @@ from . import cell
 from .errors import HypothesisViolation, OutOfBox
 from .hamiltonians import Hamiltonian1D, build_breve_G, build_J, invert_J
 from .numerics import sample_min
-from .pipeline import CertifiedCounterexample
+from .pipeline import CertifiedCounterexample, window_correctors
 from .potentials import PeriodicPotential, zero_potential
 
 
@@ -109,12 +109,7 @@ def build_separable_system(certified: CertifiedCounterexample, d: int,
     G1, V1, th0, c = bundle.G, bundle.V, bundle.theta0, certified.c
     M = compute_M(G1)
     init = (0.0, float(bundle.profile.eval(0.0)))
-    sweep = certified.sweep
-    if (len(sweep.thetas) and abs(sweep.thetas[0] - (th0 - c)) < 1e-12
-            and abs(sweep.thetas[-1] - (th0 + c)) < 1e-12):
-        lo, hi = sweep.solutions[0], sweep.solutions[-1]
-    else:
-        lo, hi = cell.solve_cell_many(G1, V1, [th0 - c, th0 + c], N=N, init=init)
+    lo, hi = window_correctors(G1, V1, th0, c, certified.sweep, N=N, init=init)
     p_lo = float(np.min(lo.f_best))
     p_hi = float(np.max(hi.f_best))
     grid = np.linspace(p_lo, p_hi, 4097)

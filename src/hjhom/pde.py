@@ -3,18 +3,19 @@ integration of the parabolic equation
 
     w_t = w_xx + G(theta + w_x) + V(x),   w 1-periodic, w(0, .) = 0,
 
-whose spatial mean grows like hbar(theta) * t. Diffusion is implicit (periodic
-tridiagonal solve via Sherman-Morrison), the Hamiltonian term explicit; with
-implicit diffusion the growth rate of the discrete steady state does not
-depend on dt, so the step is chosen by the explicit term's von Neumann bound.
+whose spatial mean grows like hbar(theta) * t. Diffusion is implicit (the
+periodic diffusion matrix is circulant: one real FFT pair per step), the
+Hamiltonian term explicit; with implicit diffusion the growth rate of the
+discrete steady state does not depend on dt, so the step is chosen by the
+explicit term's von Neumann bound.
 
 For potentials with steep piecewise structure the solver substitutes
 w = z + A with A'' = -(V - mean V): the rough part of the potential moves into
 the (exactly computed) argument shift A' of the Hamiltonian and the solved
 field z has bounded curvature on coarse grids.
 
-A Hopf-Cole eigenvalue oracle provides a second, scheme-independent value for
-the quadratic Hamiltonian.
+A Hopf-Cole eigenvalue oracle (sparse ARPACK shift-invert) provides a second,
+scheme-independent value for the quadratic Hamiltonian.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
+import scipy.fft as sfft
+import scipy.sparse as sps
+import scipy.sparse.linalg as spla
 
 from . import cell
 from .errors import Instability, NoPositiveEigenvector
@@ -35,32 +38,13 @@ DEFAULT_NX = 4096
 DEFAULT_T = 40.0
 
 
-def periodic_tridiag_factory(a: float, b: float, c: float, n: int):
-    """Solver for the circulant-cornered tridiagonal system with constant
-    coefficients: sub/diag/super = (a, b, c) plus wrap entries A[0,n-1] = a
-    and A[n-1,0] = c. Returns a solve(rhs) closure (Sherman-Morrison)."""
-    gamma = -b
-    diag = np.full(n, b)
-    diag[0] = b - gamma
-    diag[-1] = b - a * c / gamma
-    ab = np.zeros((3, n))
-    ab[0, 1:] = c
-    ab[1] = diag
-    ab[2, :-1] = a
-    u = np.zeros(n)
-    u[0] = gamma
-    u[-1] = c
-    v0 = 1.0
-    vn = a / gamma
-    q = sla.solve_banded((1, 1), ab, u)
-    denom = 1.0 + v0 * q[0] + vn * q[-1]
-
-    def solve(rhs):
-        y = sla.solve_banded((1, 1), ab, rhs)
-        factor = (v0 * y[0] + vn * y[-1]) / denom
-        return y - factor * q
-
-    return solve
+def circulant_diffusion_solver(r: float, n: int):
+    """Solver for the implicit diffusion step (I - r D2) z = rhs, with D2 the
+    periodic second difference on n points. The matrix is circulant, so it is
+    diagonal in Fourier space with the precomputed symbol below."""
+    symbol = 1.0 + 2.0 * r * (1.0 - np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n))
+    inv_symbol = 1.0 / symbol
+    return lambda rhs: sfft.irfft(sfft.rfft(rhs) * inv_symbol, n)
 
 
 def _exact_potential_profiles(V: PeriodicPotential, n_x: int):
@@ -141,7 +125,7 @@ def long_time_slope(G: Hamiltonian1D, V: PeriodicPotential, theta: float,
         out = _run_once(G, theta, n_x, h, dt, t_final, arg_shift, forcing,
                         a_vals, rate_bound, osc_scale)
         if out is not None:
-            ts, means, w_max, w_min = out
+            ts, means, trace = out
             break
         dt *= 0.5
     else:
@@ -153,8 +137,6 @@ def long_time_slope(G: Hamiltonian1D, V: PeriodicPotential, theta: float,
     n_fit = int(win.sum())
     rms = float(np.sqrt(res[0] / n_fit)) if len(res) and n_fit > 2 else 0.0
     bound_ok = lo_b - 0.05 <= slope <= up_b + 0.05
-    stride = max(1, len(ts) // 4096)
-    trace = np.column_stack([ts, means, w_max, w_min])[::stride]
     return ParabolicRun(theta=theta, n_x=n_x, dt=dt, t_final=t_final,
                         slope=slope, slope_ci=rms, mode=mode,
                         retries=attempt, bound_ok=bound_ok, trace=trace)
@@ -162,45 +144,49 @@ def long_time_slope(G: Hamiltonian1D, V: PeriodicPotential, theta: float,
 
 def _run_once(G, theta, n_x, h, dt, t_final, arg_shift, forcing, a_vals,
               rate_bound, osc_scale):
+    """One IMEX run: (ts, means) at every step and the trace rows (t, mean,
+    max, min) at every stride-th step, or None if a stability check fails."""
     n_steps = int(np.ceil(t_final / dt))
-    r = dt / h**2
-    solve = periodic_tridiag_factory(-r, 1.0 + 2.0 * r, -r, n_x)
-    z = -a_vals if np.any(a_vals) else np.zeros(n_x)
+    solve = circulant_diffusion_solver(dt / h**2, n_x)
+    z = -a_vals                 # w(0) = z + a_vals = 0 exactly
+    a_mean = float(a_vals.mean())
     z0_inf = float(np.max(np.abs(z)))
-    means = np.empty(n_steps + 1)
-    w_max = np.empty(n_steps + 1)
-    w_min = np.empty(n_steps + 1)
-    ts = np.empty(n_steps + 1)
-
-    def record(j):
-        w = z + a_vals
-        means[j] = w.mean()
-        w_max[j] = w.max()
-        w_min[j] = w.min()
-
-    record(0)
-    ts[0] = 0.0
+    shift = theta + arg_shift
+    ghost = np.empty(n_x + 2)   # z plus one periodic ghost cell at each end
+    ts = np.arange(n_steps + 1) * dt
+    means = np.zeros(n_steps + 1)
+    # max/min are taken only on the kept rows and at stability checks
+    stride = max(1, (n_steps + 1) // 4096)
+    rows = [(0.0, 0.0, 0.0, 0.0)]
     inv2h = 0.5 / h
     osc_limit = 20.0 * h**2 * osc_scale + 1e-6
     check_every = 64
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            zx = (np.roll(z, -1) - np.roll(z, 1)) * inv2h
-            expl = np.asarray(G.eval(theta + arg_shift + zx), dtype=float) + forcing
+            j = k + 1
+            ghost[1:-1], ghost[0], ghost[-1] = z, z[-1], z[0]
+            zx = (ghost[2:] - ghost[:-2]) * inv2h
+            expl = np.asarray(G.eval(shift + zx), dtype=float) + forcing
             z = solve(z + dt * expl)
-            t = (k + 1) * dt
-            record(k + 1)
-            ts[k + 1] = t
-            if k % check_every == 0 or k == n_steps - 1:
+            means[j] = z.mean() + a_mean
+            keep = j % stride == 0
+            check = k % check_every == 0 or j == n_steps
+            if not (keep or check):
+                continue
+            w = z + a_vals
+            w_max, w_min = w.max(), w.min()
+            if keep:
+                rows.append((ts[j], means[j], w_max, w_min))
+            if check:
                 if not np.all(np.isfinite(z)):
                     return None
-                w_inf = max(abs(w_max[k + 1]), abs(w_min[k + 1]))
-                if w_inf > t * rate_bound + z0_inf + 1.0 + 10.0 * osc_scale:
+                w_inf = max(abs(w_max), abs(w_min))
+                if w_inf > ts[j] * rate_bound + z0_inf + 1.0 + 10.0 * osc_scale:
                     return None
                 osc = float(np.max(np.abs(np.diff(z, 2))))
                 if osc > osc_limit * 50.0:
                     return None
-    return ts, means, w_max, w_min
+    return ts, means, np.array(rows)
 
 
 def hopf_cole_oracle(V: PeriodicPotential, theta: float, n_x: int = 512,
@@ -219,20 +205,21 @@ def hopf_cole_oracle(V: PeriodicPotential, theta: float, n_x: int = 512,
         h = 1.0 / n
         xs = np.arange(n) * h
         vv = V.values(xs)
-        A = np.zeros((n, n))
-        idx = np.arange(n)
-        A[idx, idx] = -2.0 / h**2 + theta**2 / 4.0 + vv / 2.0
-        A[idx, (idx + 1) % n] = 1.0 / h**2 + theta / (2.0 * h)
-        A[idx, (idx - 1) % n] = 1.0 / h**2 - theta / (2.0 * h)
-        w, vecs = sla.eig(A)
-        k = int(np.argmax(w.real))
-        vec = np.real(vecs[:, k])
+        diag = -2.0 / h**2 + theta**2 / 4.0 + vv / 2.0
+        sup = 1.0 / h**2 + theta / (2.0 * h)
+        sub = 1.0 / h**2 - theta / (2.0 * h)
+        A = sps.diags_array([diag, sup, sub, sub, sup], offsets=[0, 1, -1, n - 1, 1 - n],
+                            shape=(n, n), format="csc")
+        # above every Gershgorin disc: the principal eigenvalue is the nearest
+        sigma = float(np.max(diag)) + abs(sup) + abs(sub) + 1.0
+        w, vecs = spla.eigs(A, k=1, sigma=sigma, v0=np.ones(n))
+        vec = np.real(vecs[:, 0])
         if vec.sum() < 0:
             vec = -vec
         if np.min(vec) < -1e-8 * np.max(vec):
             raise NoPositiveEigenvector(
                 f"principal eigenvector changes sign at n={n}")
-        return float(np.real(w[k]))
+        return float(np.real(w[0]))
 
     mu = mu_of(n_x)
     if refine:

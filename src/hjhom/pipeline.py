@@ -75,6 +75,15 @@ def scan_certified_halfwidth(bundle: CounterexampleBundle, fractions=C_FRACTIONS
     raise CertificationFailure("no c in the scan produced the required sign pattern")
 
 
+def window_correctors(G: Hamiltonian1D, V, th0: float, c: float,
+                      sweep: cell.SweepResult, N: int, init):
+    """Correctors at theta0 -+ c: the sweep's end points when it spans that window."""
+    if (len(sweep.thetas) and abs(sweep.thetas[0] - (th0 - c)) < 1e-12
+            and abs(sweep.thetas[-1] - (th0 + c)) < 1e-12):
+        return sweep.solutions[0], sweep.solutions[-1]
+    return tuple(cell.solve_cell_many(G, V, [th0 - c, th0 + c], N=N, init=init))
+
+
 def certify_bundle(bundle: CounterexampleBundle, n_sweep: int = SWEEP_POINTS,
                    N: int = cell.DEFAULT_N, fractions=C_FRACTIONS,
                    gate_n: int = GATE_N, jobs: int = 1) -> CertifiedCounterexample:
@@ -94,8 +103,8 @@ def certify_bundle(bundle: CounterexampleBundle, n_sweep: int = SWEEP_POINTS,
                                 init=(0.0, p0_hint))
         cert = certify_nonquasiconvex(sweep.thetas, sweep.hbars)
         if cert is not None:
-            corr_lo, corr_hi = cell.solve_cell_many(G, V, [th0 - c, th0 + c], N=N,
-                                                    init=(0.0, p0_hint))
+            corr_lo, corr_hi = window_correctors(G, V, th0, c, sweep, N=N,
+                                                 init=(0.0, p0_hint))
             i_minus = compute_I(corr_lo, G)[1]
             i_plus = compute_I(corr_hi, G)[1]
             pred_minus = predict_local_growth(corr_lo, G)

@@ -56,6 +56,20 @@ def test_config_file_and_flag_precedence(runner, tmp_path):
     assert len(rows) == 7  # flag wins over the config file
 
 
+def test_out_dir_flag_overrides_config(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out_dir": str(tmp_path / "A")}))
+    r = invoke(runner, ["synthesize", "--hamiltonian", "fig3_flat",
+                        "--config", str(cfg), "--out-dir", str(tmp_path / "B")])
+    assert r.exit_code == 0
+    assert (tmp_path / "B" / "bundle.json").exists()
+    assert not (tmp_path / "A").exists()
+    r = invoke(runner, ["synthesize", "--hamiltonian", "fig3_flat",
+                        "--config", str(cfg)])
+    assert r.exit_code == 0
+    assert (tmp_path / "A" / "bundle.json").exists()
+
+
 def test_synthesize_writes_bundle_and_profile(runner, tmp_path):
     r = invoke(runner, ["synthesize", "--hamiltonian", "fig3_flat",
                         "--out-dir", str(tmp_path)])
@@ -129,6 +143,7 @@ def test_verify_pde_report(runner, tmp_path):
     assert r.exit_code == 0
     rep = json.loads((tmp_path / "pde_report.json").read_text())
     assert rep["abs_diff"] < 5e-3
+    assert rep["retries"] >= 0 and rep["slope_ci"] >= 0.0
     log = (tmp_path / "pde_runlog.csv").read_text().splitlines()
     assert log[0] == "t,mean_w,max_w,min_w"
     corr = (tmp_path / "corr.csv").read_text().splitlines()

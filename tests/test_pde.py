@@ -12,14 +12,15 @@ from hjhom import (
     solve_cell,
     zero_potential,
 )
-from hjhom.pde import periodic_tridiag_factory
+from hjhom.pde import circulant_diffusion_solver
 
 QUAD = get_hamiltonian("quadratic")
 
 
 def test_periodic_tridiag_against_dense():
     rng = np.random.default_rng(0)
-    for n, r in ((32, 0.3), (256, 50.0), (1024, 2000.0)):
+    # the last case is the fig3 run: n_x=4096 at its dt/h^2
+    for n, r in ((32, 0.3), (256, 50.0), (1024, 2000.0), (4096, 2.4e4)):
         a = c = -r
         b = 1.0 + 2.0 * r
         A = np.zeros((n, n))
@@ -28,7 +29,7 @@ def test_periodic_tridiag_against_dense():
         A[i, (i + 1) % n] = c
         A[i, (i - 1) % n] = a
         rhs = rng.normal(size=n)
-        got = periodic_tridiag_factory(a, b, c, n)(rhs)
+        got = circulant_diffusion_solver(r, n)(rhs)
         want = np.linalg.solve(A, rhs)
         assert np.max(np.abs(got - want)) < 1e-10 * max(1, np.max(np.abs(want)))
 
@@ -72,6 +73,10 @@ def test_slope_on_bundle_theta0(fig3_certified):
     assert run.mode == "antideriv"
     assert abs(run.slope) <= 2e-3
     assert run.bound_ok
+    # max/min are recorded only on the kept rows; every kept row has them
+    _, mean_w, max_w, min_w = run.trace.T
+    assert np.all(np.isfinite(run.trace))
+    assert np.all(max_w >= mean_w) and np.all(mean_w >= min_w)
 
 
 def test_slope_trace_shape():
@@ -98,6 +103,22 @@ def test_oracle_agrees_with_cell_after_refinement():
         ref = solve_cell(QUAD, V, theta).hbar
         hb = hopf_cole_oracle(V, theta, n_x=512)
         assert abs(hb - ref) < 1e-6
+
+
+def test_oracle_against_dense_eigenvalues():
+    # principal eigenvalue = the one with the largest real part of the dense
+    # periodic operator eta'' + theta eta' + (theta^2/4 + V/2) eta
+    V = cosine_potential(5.0)
+    n = 256
+    h = 1.0 / n
+    i = np.arange(n)
+    for theta in (-3.0, 0.0, 2.5):
+        A = np.zeros((n, n))
+        A[i, i] = -2.0 / h**2 + theta**2 / 4.0 + V.values(i * h) / 2.0
+        A[i, (i + 1) % n] = 1.0 / h**2 + theta / (2.0 * h)
+        A[i, (i - 1) % n] = 1.0 / h**2 - theta / (2.0 * h)
+        mu = np.max(np.linalg.eigvals(A).real)
+        assert abs(hopf_cole_oracle(V, theta, n_x=n, refine=False) - 2.0 * mu) <= 1e-8
 
 
 def test_oracle_refinement_tightens():
