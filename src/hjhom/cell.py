@@ -6,10 +6,14 @@ momentum theta, find the unique level hbar and 1-periodic profile f with
 The profile is computed by shooting: classical RK4 for the momentum ODE
 f' = lam - G(f) - V(x) on [0, 1], with the period-map fixed point in lam and
 the mean constraint in the initial value p0. Both equations are solved jointly
-by a damped Newton iteration on (lam, p0) driven by exact sensitivity ODEs;
-everything is vectorized over a batch of theta values. A nested monotone
-bracket/Newton path (period map strictly increasing in both lam and p0 by
-scalar-ODE comparison) serves as the robust scalar fallback.
+by a damped Newton iteration on (lam, p0); everything is vectorized over a
+batch of theta values. Each iteration is one RK4 pass that stores the
+trajectory. The Newton Jacobian is read off that trajectory in closed form:
+with I(x) = int_0^x G'(f), df/dp0 = e^{-I} and df/dlam = e^{-I(x)} int_0^x e^{I},
+the integrating factor of the paper's linearized equation (:func:`linearize`,
+shared with the diagnostics). A nested monotone bracket/Newton path (period
+map strictly increasing in both lam and p0 by scalar-ODE comparison) serves
+as the robust scalar fallback.
 
 Integration steps are aligned with the potential's breakpoints, and pieces
 between breakpoints get a minimum number of substeps, so the scheme keeps its
@@ -18,6 +22,7 @@ full order for the piecewise-smooth synthesized potentials.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Optional
@@ -26,7 +31,7 @@ import numpy as np
 
 from .errors import Blowup, BracketFailure
 from .hamiltonians import Hamiltonian1D
-from .numerics import expand_until, leftmost_crossing, rightmost_crossing
+from .numerics import PiecewiseSimpson, expand_until, leftmost_crossing, rightmost_crossing
 from .potentials import PeriodicPotential
 
 DEFAULT_N = 4096
@@ -37,6 +42,7 @@ BLOWUP_GUARD = 1e6
 MIN_PIECE_STEPS = 48       # substeps per smooth piece of a kinked potential
 MIN_HARD_STEPS = 384       # substeps per piece flagged as steeply varying
 _MAX_NEWTON = 60
+_LIN_ROWS = 16             # batch rows linearized at a time
 
 
 # ---------------------------------------------------------------------------
@@ -54,9 +60,11 @@ class _IntegrationGrid:
     v_min: float
     v_max: float
     piece_idx: np.ndarray = None   # indices of smooth-piece edges in nodes
+    quad: PiecewiseSimpson = None  # quadrature on nodes, piece-aware
 
 
-_GRID_CACHE: dict = {}
+_GRID_CACHE: OrderedDict = OrderedDict()
+_GRID_CACHE_SIZE = 8
 
 
 def _build_grid(V: PeriodicPotential, N: int) -> _IntegrationGrid:
@@ -106,7 +114,8 @@ def _build_grid(V: PeriodicPotential, N: int) -> _IntegrationGrid:
     piece_idx[-1] = len(nodes) - 1
     return _IntegrationGrid(nodes, h, v_nodes, v_mids, out_col, N + 1,
                             float(v_all.min()), float(v_all.max()),
-                            piece_idx=piece_idx)
+                            piece_idx=piece_idx,
+                            quad=PiecewiseSimpson(nodes, piece_idx))
 
 
 def _grid_for(V: PeriodicPotential, N: int) -> _IntegrationGrid:
@@ -114,6 +123,10 @@ def _grid_for(V: PeriodicPotential, N: int) -> _IntegrationGrid:
     g = _GRID_CACHE.get(key)
     if g is None:
         g = _GRID_CACHE[key] = _build_grid(V, N)
+        if len(_GRID_CACHE) > _GRID_CACHE_SIZE:
+            _GRID_CACHE.popitem(last=False)
+    else:
+        _GRID_CACHE.move_to_end(key)
     return g
 
 
@@ -121,68 +134,37 @@ def _grid_for(V: PeriodicPotential, N: int) -> _IntegrationGrid:
 # batched RK4 shooting kernel
 # ---------------------------------------------------------------------------
 
-def _shoot(G: Hamiltonian1D, grid: _IntegrationGrid, lam, p0, *, sens: bool,
-           store: bool, guard: float = BLOWUP_GUARD) -> SimpleNamespace:
+def _shoot(G: Hamiltonian1D, grid: _IntegrationGrid, lam, p0,
+           guard: float = BLOWUP_GUARD) -> SimpleNamespace:
+    """One RK4 pass for a batch of (lam, p0): the trajectories F on the grid
+    nodes (one row per batch entry), their end values, their means over the
+    period, and which rows escaped [-guard, guard]."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     p0 = np.atleast_1d(np.asarray(p0, dtype=float))
     lam, p0 = np.broadcast_arrays(lam, p0)
     B = lam.shape[0]
     f = p0.astype(float).copy()
     m = np.zeros(B)
-    if sens:
-        sl = np.zeros(B)
-        sp = np.ones(B)
-        ml = np.zeros(B)
-        mp = np.zeros(B)
     blown = np.zeros(B, dtype=bool)
-    F = None
-    if store:
-        F = np.empty((B, len(grid.nodes)))
-        F[:, 0] = f
-    ev, d1 = G.eval, G.d1
+    Ft = np.empty((len(grid.nodes), B))   # node-major: each step stores one row
+    Ft[0] = f
+    ev = G.eval
     hs = grid.h
     vn = grid.v_nodes
     vm = grid.v_mids
-    oc = grid.out_col
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for i in range(len(hs)):
             h = hs[i]
             h2 = 0.5 * h
-            v0 = vn[i]
             vmid = vm[i]
-            v1 = vn[i + 1]
 
-            k1 = lam - ev(f) - v0
+            k1 = lam - ev(f) - vn[i]
             f2 = f + h2 * k1
             k2 = lam - ev(f2) - vmid
             f3 = f + h2 * k2
             k3 = lam - ev(f3) - vmid
             f4 = f + h * k3
-            k4 = lam - ev(f4) - v1
-
-            if sens:
-                d_1 = d1(f)
-                d_2 = d1(f2)
-                d_3 = d1(f3)
-                d_4 = d1(f4)
-                l1 = 1.0 - d_1 * sl
-                q1 = -d_1 * sp
-                sl2 = sl + h2 * l1
-                sp2 = sp + h2 * q1
-                l2 = 1.0 - d_2 * sl2
-                q2 = -d_2 * sp2
-                sl3 = sl + h2 * l2
-                sp3 = sp + h2 * q2
-                l3 = 1.0 - d_3 * sl3
-                q3 = -d_3 * sp3
-                sl4 = sl + h * l3
-                sp4 = sp + h * q3
-                l4 = 1.0 - d_4 * sl4
-                q4 = -d_4 * sp4
-                ml += (h / 6.0) * (sl + 2.0 * sl2 + 2.0 * sl3 + sl4)
-                mp += (h / 6.0) * (sp + 2.0 * sp2 + 2.0 * sp3 + sp4)
-                sl = sl + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-                sp = sp + (h / 6.0) * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+            k4 = lam - ev(f4) - vn[i + 1]
 
             m += (h / 6.0) * (f + 2.0 * f2 + 2.0 * f3 + f4)
             f = f + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
@@ -192,16 +174,35 @@ def _shoot(G: Hamiltonian1D, grid: _IntegrationGrid, lam, p0, *, sens: bool,
                 blown |= bad
                 np.clip(f, -guard, guard, out=f)
                 np.nan_to_num(f, copy=False, nan=guard)
-            if store:
-                F[:, i + 1] = f
-    f_uniform = F[:, oc >= 0] if store else None
-    out = SimpleNamespace(f_end=f, m_end=m, blown=blown, f_grid=f_uniform,
-                          f_fine=F)
-    if sens:
-        out.sl_end = sl
-        out.sp_end = sp
-        out.ml_end = ml
-        out.mp_end = mp
+            Ft[i + 1] = f
+    return SimpleNamespace(F=Ft.T, f_end=f, m_end=m, blown=blown)
+
+
+def linearize(G: Hamiltonian1D, F, quad: PiecewiseSimpson) -> SimpleNamespace:
+    """Closed-form variational solutions of f' = lam - G(f) - V along the
+    trajectories F (rows on quad's nodes): with I(x) = int_0^x G'(f),
+    df/dp0 = e^{-I(x)} and df/dlam = e^{-I(x)} int_0^x e^{I}. The exponentials
+    are scaled by the row maximum of I."""
+    I = quad.cumulative(G.d1(F))
+    top = I.max(axis=-1, keepdims=True)
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        E = np.exp(I - top)
+        dlam = quad.cumulative(E) / E
+        dp0 = np.exp(-top) / E
+    return SimpleNamespace(I=I, dlam=dlam, dp0=dp0)
+
+
+def _jacobian(G: Hamiltonian1D, grid: _IntegrationGrid, F, rows):
+    """End values and period means of df/dlam and df/dp0 for the given rows
+    of F, linearized in blocks of _LIN_ROWS rows to bound the temporaries."""
+    out = np.empty((4, len(rows)))
+    for s in range(0, len(rows), _LIN_ROWS):
+        lin = linearize(G, F[rows[s:s + _LIN_ROWS]], grid.quad)
+        blk = slice(s, s + _LIN_ROWS)
+        out[0, blk] = lin.dlam[:, -1]
+        out[1, blk] = lin.dp0[:, -1]
+        out[2, blk] = grid.quad.integral(lin.dlam)
+        out[3, blk] = grid.quad.integral(lin.dp0)
     return out
 
 
@@ -297,6 +298,22 @@ def validate_corrector(corr: CorrectorSolution, G: Hamiltonian1D,
 # public operations
 # ---------------------------------------------------------------------------
 
+def _uniform(grid: _IntegrationGrid, F):
+    """Columns of trajectories F that lie on the uniform output grid."""
+    return F[..., grid.out_col >= 0]
+
+
+def _corrector(grid: _IntegrationGrid, theta, lam, p0, traj) -> CorrectorSolution:
+    """Solution record for one converged trajectory on the grid nodes."""
+    refined = len(grid.nodes) > grid.n_uniform
+    return CorrectorSolution(theta=float(theta), hbar=float(lam),
+                             f_grid=_uniform(grid, traj), p0=float(p0),
+                             residual=abs(float(traj[-1]) - float(p0)),
+                             x_fine=grid.nodes if refined else None,
+                             f_fine=traj.copy() if refined else None,
+                             fine_piece_idx=grid.piece_idx if refined else None)
+
+
 def integrate_cell_ode(G: Hamiltonian1D, V: PeriodicPotential, lam: float,
                        p0: float, N: int = DEFAULT_N, guard: float = BLOWUP_GUARD):
     """RK4 solution of f' = lam - G(f) - V on [0, 1] from f(0) = p0.
@@ -308,31 +325,24 @@ def integrate_cell_ode(G: Hamiltonian1D, V: PeriodicPotential, lam: float,
     if N < 64:
         raise ValueError("N must be at least 64")
     grid = _grid_for(V, N)
-    res = _shoot(G, grid, lam, p0, sens=False, store=True, guard=guard)
+    res = _shoot(G, grid, lam, p0, guard=guard)
     if res.blown[0]:
         raise Blowup(f"trajectory escaped |f| >= {guard:g} (lam={lam}, p0={p0})")
-    return res.f_grid[0], float(res.f_end[0])
+    return _uniform(grid, res.F[0]), float(res.f_end[0])
 
 
-def solve_lambda_for_periodicity(G: Hamiltonian1D, V: PeriodicPotential, p0: float,
-                                 N: int = DEFAULT_N, tol_period: float = TOL_PERIOD):
-    """Unique lam with f(1; p0, lam) = p0, via monotone bracketing plus Newton.
-
-    The period map is strictly increasing in lam (scalar-ODE comparison), so a
-    sign-changing bracket pins the root; Newton steps that leave the bracket
-    fall back to bisection.
-    """
-    grid = _grid_for(V, N)
+def _solve_lambda(G, V, grid, p0, tol_period):
+    """Unique lam with f(1; p0, lam) = p0, and the shooting pass at that lam."""
     lam0 = float(G.eval(p0)) + V.mean
     lam_guard = abs(float(G.eval(p0))) + V.sup_abs + 10.0
 
-    def period_residual(lam, sens):
-        out = _shoot(G, grid, lam, p0, sens=sens, store=False)
+    def period_residual(lam):
+        out = _shoot(G, grid, lam, p0)
         if out.blown[0]:
             return -np.inf, out  # blow-down: f(1) effectively -inf
         return float(out.f_end[0] - p0), out
 
-    r0, _ = period_residual(lam0, False)
+    r0, _ = period_residual(lam0)
     lo = hi = lam0
     r_lo = r_hi = r0
     step = 0.5
@@ -341,18 +351,18 @@ def solve_lambda_for_periodicity(G: Hamiltonian1D, V: PeriodicPotential, p0: flo
         step *= 2.0
         if abs(lo) > lam_guard + abs(lam0):
             raise BracketFailure("no sign change below the lambda guard")
-        r_lo, _ = period_residual(lo, False)
+        r_lo, _ = period_residual(lo)
     step = 0.5
     while r_hi < 0.0:
         hi += step
         step *= 2.0
         if abs(hi) > lam_guard + abs(lam0):
             raise BracketFailure("no sign change above the lambda guard")
-        r_hi, _ = period_residual(hi, False)
+        r_hi, _ = period_residual(hi)
 
     lam = 0.5 * (lo + hi)
     for _ in range(200):
-        r, out = period_residual(lam, True)
+        r, out = period_residual(lam)
         if np.isfinite(r) and abs(r) <= tol_period:
             break
         if not np.isfinite(r):
@@ -361,7 +371,10 @@ def solve_lambda_for_periodicity(G: Hamiltonian1D, V: PeriodicPotential, p0: flo
             hi = lam
         else:
             lo = lam
-        lam_new = lam - r / float(out.sl_end[0]) if np.isfinite(r) else np.nan
+        if np.isfinite(r):
+            lam_new = lam - r / float(_jacobian(G, grid, out.F, [0])[0, 0])
+        else:
+            lam_new = np.nan
         if not np.isfinite(lam_new) or not (lo < lam_new < hi):
             lam_new = 0.5 * (lo + hi)
         if lam_new == lam:
@@ -369,17 +382,29 @@ def solve_lambda_for_periodicity(G: Hamiltonian1D, V: PeriodicPotential, p0: flo
         lam = lam_new
     else:
         raise BracketFailure("lambda iteration did not converge")
-    final = _shoot(G, grid, lam, p0, sens=False, store=True)
-    return lam, final.f_grid[0]
+    return lam, out
+
+
+def solve_lambda_for_periodicity(G: Hamiltonian1D, V: PeriodicPotential, p0: float,
+                                 N: int = DEFAULT_N, tol_period: float = TOL_PERIOD):
+    """Unique lam with f(1; p0, lam) = p0, via monotone bracketing plus Newton.
+
+    The period map is strictly increasing in lam (scalar-ODE comparison), so a
+    sign-changing bracket pins the root; Newton steps that leave the bracket
+    fall back to bisection. Returns lam and the periodic profile on the
+    uniform grid.
+    """
+    grid = _grid_for(V, N)
+    lam, out = _solve_lambda(G, V, grid, p0, tol_period)
+    return lam, _uniform(grid, out.F[0])
 
 
 def _solve_cell_scalar(G, V, theta, N, tol_theta, tol_period):
     """Nested monotone solve: outer root in p0 for the mean, inner in lam."""
+    grid = _grid_for(V, N)
 
     def mean_of(p0):
-        lam, f_grid = solve_lambda_for_periodicity(G, V, p0, N=N, tol_period=tol_period)
-        grid = _grid_for(V, N)
-        out = _shoot(G, grid, lam, p0, sens=True, store=False)
+        lam, out = _solve_lambda(G, V, grid, p0, tol_period)
         return float(out.m_end[0]), lam, out
 
     lo = hi = theta
@@ -411,8 +436,8 @@ def _solve_cell_scalar(G, V, theta, N, tol_theta, tol_period):
             hi = p0
         else:
             lo = p0
-        sl = float(out.sl_end[0])
-        dm = float(out.mp_end[0]) - float(out.ml_end[0]) * (float(out.sp_end[0]) - 1.0) / sl
+        sl, sp, ml, mp = _jacobian(G, grid, out.F, [0])[:, 0]
+        dm = mp - ml * (sp - 1.0) / sl
         p_new = p0 - r / dm if dm > 0 else np.nan
         if not np.isfinite(p_new) or not (lo < p_new < hi):
             p_new = 0.5 * (lo + hi)
@@ -421,22 +446,19 @@ def _solve_cell_scalar(G, V, theta, N, tol_theta, tol_period):
         p0 = p_new
     else:
         raise BracketFailure("mean iteration did not converge")
-    grid = _grid_for(V, N)
-    final = _shoot(G, grid, lam, p0, sens=False, store=True)
-    resid = abs(float(final.f_end[0]) - p0)
-    fine = final.f_fine[0] if len(grid.nodes) > grid.n_uniform else None
-    return CorrectorSolution(theta=float(theta), hbar=float(lam),
-                             f_grid=final.f_grid[0], p0=float(p0), residual=resid,
-                             x_fine=grid.nodes if fine is not None else None,
-                             f_fine=fine,
-                             fine_piece_idx=grid.piece_idx if fine is not None else None)
+    return _corrector(grid, theta, lam, p0, out.F[0])
 
 
 def solve_cell_many(G: Hamiltonian1D, V: PeriodicPotential, thetas,
                     N: int = DEFAULT_N, tol_theta: float = TOL_THETA,
                     tol_period: float = TOL_PERIOD, init=None,
                     check_bounds: bool = True, allow_shortcircuit: bool = True):
-    """Solve the cell problem for a batch of theta values (vectorized Newton)."""
+    """Solve the cell problem for a batch of theta values (vectorized Newton).
+
+    Every Newton iteration is one shooting pass; the pass in which a theta
+    meets both tolerances is its answer. Rows that have converged keep their
+    (lam, p0), so the last pass holds the trajectory of every converged row.
+    """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     B = len(thetas)
     if allow_shortcircuit and V.is_constant:
@@ -461,7 +483,8 @@ def solve_cell_many(G: Hamiltonian1D, V: PeriodicPotential, thetas,
     blow_count = np.zeros(B, dtype=int)
     converged = np.zeros(B, dtype=bool)
     for _ in range(_MAX_NEWTON):
-        res = _shoot(G, grid, lam, p0, sens=True, store=False)
+        res = None  # release the previous pass's trajectories first
+        res = _shoot(G, grid, lam, p0)
         if res.blown.any():
             b = res.blown
             blow_count[b] += 1
@@ -475,36 +498,30 @@ def solve_cell_many(G: Hamiltonian1D, V: PeriodicPotential, thetas,
         converged = (np.abs(r1) <= tol_period) & (np.abs(r2) <= tol_theta)
         if converged.all():
             break
-        j11 = res.sl_end
-        j12 = res.sp_end - 1.0
-        j21 = res.ml_end
-        j22 = res.mp_end
+        act = np.flatnonzero(~converged)
+        j11, sp, j21, j22 = _jacobian(G, grid, res.F, act)
+        j12 = sp - 1.0
+        r1 = r1[act]
+        r2 = r2[act]
         det = j11 * j22 - j12 * j21
         ok = np.abs(det) > 1e-300
         det = np.where(ok, det, 1.0)
         dlam = (-r1 * j22 + r2 * j12) / det
         dp0 = (-j11 * r2 + j21 * r1) / det
-        cap_l = 2.0 + 0.5 * np.abs(lam)
+        cap_l = 2.0 + 0.5 * np.abs(lam[act])
         cap_p = 1.0
         scale = np.minimum(1.0, np.minimum(cap_l / np.maximum(np.abs(dlam), 1e-300),
                                            cap_p / np.maximum(np.abs(dp0), 1e-300)))
-        step_mask = ok & ~converged
-        lam = np.where(step_mask, lam + scale * dlam, lam)
-        p0 = np.where(step_mask, p0 + scale * dp0, p0)
+        lam[act] = np.where(ok, lam[act] + scale * dlam, lam[act])
+        p0[act] = np.where(ok, p0[act] + scale * dp0, p0[act])
 
-    solutions: list = [None] * B
-    final = _shoot(G, grid, lam, p0, sens=False, store=True)
-    refined = len(grid.nodes) > grid.n_uniform
+    solutions = [None] * B
     for k in range(B):
-        if converged[k] and not final.blown[k]:
-            resid = abs(float(final.f_end[k]) - float(p0[k]))
-            solutions[k] = CorrectorSolution(
-                theta=float(thetas[k]), hbar=float(lam[k]),
-                f_grid=final.f_grid[k].copy(), p0=float(p0[k]), residual=resid,
-                x_fine=grid.nodes if refined else None,
-                f_fine=final.f_fine[k].copy() if refined else None,
-                fine_piece_idx=grid.piece_idx if refined else None)
-        else:
+        if converged[k] and not res.blown[k]:
+            solutions[k] = _corrector(grid, thetas[k], lam[k], p0[k], res.F[k])
+    res = None
+    for k in range(B):
+        if solutions[k] is None:
             solutions[k] = _solve_cell_scalar(G, V, float(thetas[k]), N,
                                               tol_theta, tol_period)
     if check_bounds:
@@ -547,37 +564,23 @@ class SweepResult:
 
 def sweep_hbar(G: Hamiltonian1D, V: PeriodicPotential, theta_min: float,
                theta_max: float, n_points: int, N: int = DEFAULT_N,
-               jobs: int = 1, **kw) -> SweepResult:
-    """Effective Hamiltonian on a uniform theta grid; per-point failures are
-    recorded rather than fatal. ``jobs`` splits the batch across threads."""
+               **kw) -> SweepResult:
+    """Effective Hamiltonian on a uniform theta grid, solved as one batch;
+    per-point failures are recorded rather than fatal."""
     if not theta_min < theta_max:
         raise ValueError("need theta_min < theta_max")
     if n_points < 2:
         raise ValueError("need at least two sweep points")
     thetas = np.linspace(theta_min, theta_max, n_points)
-
-    def run_chunk(chunk):
-        try:
-            return solve_cell_many(G, V, chunk, N=N, **kw), None
-        except Exception as exc:  # pragma: no cover - per-point fallback below
-            sols, err = [], str(exc)
-            for th in chunk:
-                try:
-                    sols.append(solve_cell(G, V, float(th), N=N, **kw))
-                except Exception as inner:
-                    sols.append((float(th), str(inner)))
-            return sols, err
-
-    chunks = np.array_split(thetas, jobs) if jobs > 1 else [thetas]
-    results = []
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            for sols, _ in ex.map(run_chunk, chunks):
-                results.extend(sols)
-    else:
-        results.extend(run_chunk(chunks[0])[0])
+    try:
+        results = solve_cell_many(G, V, thetas, N=N, **kw)
+    except Exception:  # pragma: no cover - per-point fallback
+        results = []
+        for th in thetas:
+            try:
+                results.append(solve_cell(G, V, float(th), N=N, **kw))
+            except Exception as inner:
+                results.append((float(th), str(inner)))
 
     solutions, failures = [], []
     for item in results:
@@ -585,7 +588,6 @@ def sweep_hbar(G: Hamiltonian1D, V: PeriodicPotential, theta_min: float,
             solutions.append(item)
         else:
             failures.append(item)
-    solutions.sort(key=lambda s: s.theta)
     return SweepResult(
         thetas=np.array([s.theta for s in solutions]),
         hbars=np.array([s.hbar for s in solutions]),

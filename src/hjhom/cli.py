@@ -9,7 +9,6 @@ Precedence for options: command-line flags > --config JSON file > defaults.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -119,18 +118,16 @@ def main():
               help="zero | const:V | cosine[:AMP[:HARMONICS]] | from-bundle:PATH")
 @click.option("--theta", default=None, help="sweep range min:max:count")
 @click.option("--grid-n", type=int, default=None, help="ODE steps per period")
-@click.option("--jobs", type=int, default=None, envvar="HJC_JOBS")
 @click.option("--out", default="sweep.csv", show_default=True)
 @click.option("--config", default=None, type=click.Path(exists=True))
-def sweep(hamiltonian, potential, theta, grid_n, jobs, out, config):
+def sweep(hamiltonian, potential, theta, grid_n, out, config):
     """Sweep the effective Hamiltonian over a momentum range."""
     cfg = merged({"hamiltonian": hamiltonian, "potential": potential,
-                  "theta": theta, "grid_n": grid_n, "jobs": jobs}, config)
+                  "theta": theta, "grid_n": grid_n}, config)
     G = resolve_hamiltonian(cfg.get("hamiltonian", "quadratic"))
     V, _ = resolve_potential(cfg.get("potential", "zero"))
     lo, hi, count = parse_theta_range(cfg["theta"])
-    jobs = cfg.get("jobs") or os.cpu_count() or 1
-    result = cell.sweep_hbar(G, V, lo, hi, count, N=cfg["grid_n"], jobs=jobs)
+    result = cell.sweep_hbar(G, V, lo, hi, count, N=cfg["grid_n"])
     write_csv(out, ["theta", "hbar", "p0", "residual"], result.as_rows())
     for failure in result.failures:
         click.echo(f"point failed: {failure}", err=True)
@@ -184,20 +181,18 @@ def synthesize(hamiltonian, p1, p2, modify, out_dir, config):
               type=click.Path(exists=True))
 @click.option("--points", type=int, default=None, help="sweep points")
 @click.option("--grid-n", type=int, default=None)
-@click.option("--jobs", type=int, default=None, envvar="HJC_JOBS")
 @click.option("--out-dir", default=None, help="artifact directory  [default: .]")
 @click.option("--config", default=None, type=click.Path(exists=True))
-def certify(bundle_path, points, grid_n, jobs, out_dir, config):
+def certify(bundle_path, points, grid_n, out_dir, config):
     """Certify loss of quasiconvexity for a synthesized bundle.
 
     Exit status 2 when no certificate is found."""
-    cfg = merged({"points": points, "grid_n": grid_n, "jobs": jobs}, config)
+    cfg = merged({"points": points, "grid_n": grid_n}, config)
     out = output_dir(out_dir, cfg)
     bundle = pipeline.load_bundle(bundle_path)
-    jobs = cfg.get("jobs") or 1
     try:
         res = pipeline.certify_bundle(bundle, n_sweep=cfg["points"],
-                                      N=cfg["grid_n"], jobs=jobs)
+                                      N=cfg["grid_n"])
     except CertificationFailure as exc:
         click.echo(f"no certificate: {exc}", err=True)
         sys.exit(2)

@@ -12,9 +12,9 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import simpson
 
-from .cell import HBAR_TOL, CorrectorSolution
+from .cell import HBAR_TOL, CorrectorSolution, linearize
 from .hamiltonians import Hamiltonian1D
-from .numerics import cumulative_simpson_pieces, max_abs_on
+from .numerics import PiecewiseSimpson, cumulative_simpson_pieces, max_abs_on
 
 #: band around zero inside which I(1) is treated as exactly critical
 TOL_I_SIGN = 1e-9
@@ -45,12 +45,15 @@ class LinearizedSolution:
 def linearized_periodic_solution(corr: CorrectorSolution, G: Hamiltonian1D,
                                  tol: float = TOL_I_SIGN) -> LinearizedSolution:
     """Select the forcing constant by the sign of I(1) and build the unique
-    (up to scale in the critical case) positive periodic solution."""
-    I_grid, I_end = compute_I(corr, G)
+    (up to scale in the critical case) positive periodic solution.
+
+    g = c df/dlam + C df/dp0 in terms of the shooting sensitivities along the
+    corrector (:func:`hjhom.cell.linearize`); periodicity fixes
+    C = c (df/dlam)(1) / (1 - e^{-I(1)}).
+    """
     x = corr.x_best
-    expI = np.exp(I_grid)
-    B_grid = cumulative_simpson_pieces(expI, x, corr.fine_piece_idx)
-    B1 = float(B_grid[-1])
+    lin = linearize(G, corr.f_best, PiecewiseSimpson(x, corr.fine_piece_idx))
+    I_end = float(lin.I[-1])
     if I_end > tol:
         c = 1.0
     elif I_end < -tol:
@@ -60,8 +63,8 @@ def linearized_periodic_solution(corr: CorrectorSolution, G: Hamiltonian1D,
     if c == 0.0:
         C = 1.0
     else:
-        C = c * B1 / float(np.expm1(I_end))
-    g = (c * B_grid + C) * np.exp(-I_grid)
+        C = c * float(lin.dlam[-1]) / float(-np.expm1(-I_end))
+    g = c * lin.dlam + C * lin.dp0
     b = float(simpson(g, x=x))
     return LinearizedSolution(theta=corr.theta, c_theta=c, C_theta=C,
                               g_grid=g, b_theta=b, I_end=I_end, x_grid=x)

@@ -72,6 +72,9 @@ class BumpParams:
     delta: float
 
     def __post_init__(self):
+        # plain floats, so NumPy scalars give the same fingerprint and spec
+        for name in ("a", "p0", "delta"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.delta <= 0:
             raise ValueError("delta must be positive")
         if self.a < -1:

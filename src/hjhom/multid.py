@@ -10,7 +10,6 @@ makes every sublevel set of the separable sum convex up to level R.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -64,7 +63,6 @@ class SeparableSystem:
     theta0: float
     first_init: Optional[tuple] = None   # (lam, p0) warm start for V1 solves
     _cache: dict = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock)
 
     def value(self, p):
         """G1(p_1) + sum_i breve_G(p_i) for points p of shape (..., d)."""
@@ -76,8 +74,7 @@ class SeparableSystem:
 
     def _solve_coord(self, which: str, theta: float, N: int):
         key = (which, round(float(theta), 12), N)
-        with self._lock:
-            hit = self._cache.get(key)
+        hit = self._cache.get(key)
         if hit is not None:
             return hit
         if which == "first":
@@ -85,8 +82,7 @@ class SeparableSystem:
         else:
             G, V, init = self.breve_G, self.breve_V, None
         sol = cell.solve_cell(G, V, float(theta), N=N, init=init)
-        with self._lock:
-            self._cache[key] = sol
+        self._cache[key] = sol
         return sol
 
 
@@ -233,8 +229,7 @@ def segment_scan(sys: SeparableSystem, n_points: int = 129,
     else:
         sw = cell.sweep_hbar(sys.G1, sys.V1, sys.theta0 - sys.c,
                              sys.theta0 + sys.c, n_points, N=N)
-    with sys._lock:
-        for sol in sw.solutions:
-            sys._cache.setdefault(("first", round(sol.theta, 12), N), sol)
+    for sol in sw.solutions:
+        sys._cache.setdefault(("first", round(sol.theta, 12), N), sol)
     values = sw.hbars + (sys.d - 1) * comp0
     return np.asarray(sw.thetas), values

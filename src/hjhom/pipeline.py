@@ -86,7 +86,7 @@ def window_correctors(G: Hamiltonian1D, V, th0: float, c: float,
 
 def certify_bundle(bundle: CounterexampleBundle, n_sweep: int = SWEEP_POINTS,
                    N: int = cell.DEFAULT_N, fractions=C_FRACTIONS,
-                   gate_n: int = GATE_N, jobs: int = 1) -> CertifiedCounterexample:
+                   gate_n: int = GATE_N) -> CertifiedCounterexample:
     """Scan c, sweep, and certify; retries smaller c if the sweep certificate
     margin is not met at the first sign-admissible half-width."""
     G, V, th0 = bundle.G, bundle.V, bundle.theta0
@@ -99,7 +99,7 @@ def certify_bundle(bundle: CounterexampleBundle, n_sweep: int = SWEEP_POINTS,
             c, _, _ = scan_certified_halfwidth(bundle, tuple(remaining), gate_n=gate_n)
         except CertificationFailure as exc:
             raise CertificationFailure(str(exc) + f" (after: {last_err})") from exc
-        sweep = cell.sweep_hbar(G, V, th0 - c, th0 + c, n_sweep, N=N, jobs=jobs,
+        sweep = cell.sweep_hbar(G, V, th0 - c, th0 + c, n_sweep, N=N,
                                 init=(0.0, p0_hint))
         cert = certify_nonquasiconvex(sweep.thetas, sweep.hbars)
         if cert is not None:

@@ -77,19 +77,6 @@ def cosine_potential(amplitude: float = 1.0, harmonics: int = 1) -> PeriodicPote
     )
 
 
-def from_callable(fn, label: str, n_probe: int = 2**14,
-                  knots: tuple = ()) -> PeriodicPotential:
-    """Wrap a user 1-periodic function; Lipschitz/sup/mean estimated by sampling."""
-    x = np.linspace(0.0, 1.0, n_probe, endpoint=False)
-    v = np.asarray(fn(x), dtype=float)
-    dv = np.diff(np.append(v, v[0]))
-    lip = float(np.max(np.abs(dv))) * n_probe
-    mean = float(np.mean(v))
-    return PeriodicPotential(label, fn, lipschitz_const=lip,
-                             sup_abs=float(np.max(np.abs(v))), mean=mean,
-                             knots=tuple(sorted(knots)))
-
-
 def from_csv(path) -> PeriodicPotential:
     """Sampled potential from CSV columns x,V with x in [0, 1); linear
     interpolation with periodic wrap-around."""

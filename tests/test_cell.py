@@ -184,13 +184,6 @@ def test_batch_init_accepts_arrays():
     assert abs(mid.hbar - single.hbar) < 1e-10
 
 
-def test_sweep_jobs_deterministic():
-    a = sweep_hbar(QUAD, COS, -0.5, 0.5, 9, N=512, jobs=1)
-    b = sweep_hbar(QUAD, COS, -0.5, 0.5, 9, N=512, jobs=2)
-    assert np.array_equal(a.hbars, b.hbars)
-    assert np.array_equal(a.thetas, b.thetas)
-
-
 def test_csv_potential_roundtrip(tmp_path):
     from hjhom.potentials import from_csv
 
@@ -217,3 +210,78 @@ def test_synthesized_potential_lipschitz_metadata(fig3_certified):
     y = x + rng.uniform(-1e-4, 1e-4, 4000)
     gap = np.abs(V.values(x) - V.values(y))
     assert np.all(gap <= V.lipschitz_const * np.abs(x - y) * (1 + 1e-6) + 1e-12)
+
+
+def _fd_sensitivities(G, V, N, lam, p0, d=1e-6):
+    """Central differences of the pass end values f(1) and mean in (lam, p0)."""
+    from hjhom import cell
+
+    grid = cell._grid_for(V, N)
+    res = cell._shoot(G, grid, [lam + d, lam - d, lam, lam], [p0, p0, p0 + d, p0 - d])
+    assert not res.blown.any()
+    fe, me = res.f_end, res.m_end
+    fd = np.array([(fe[0] - fe[1]), (fe[2] - fe[3]), (me[0] - me[1]), (me[2] - me[3])])
+    exact = cell._jacobian(G, grid, cell._shoot(G, grid, lam, p0).F, [0])[:, 0]
+    return fd / (2.0 * d), exact
+
+
+@pytest.mark.parametrize("case", ["cosine5", "fig3"])
+def test_closed_form_sensitivities_match_finite_differences(case):
+    # sl, sp, ml, mp from e^{-I} and e^{-I} int e^{I} against the pass itself
+    if case == "cosine5":
+        G, V, N = QUAD, cosine_potential(5.0), 1024
+        sol = solve_cell(G, V, 0.7, N=N)
+    else:
+        from hjhom import build_counterexample
+        from hjhom.hamiltonians import CERTIFIED_POINTS
+
+        b = build_counterexample(get_hamiltonian("fig3_flat"),
+                                 *CERTIFIED_POINTS["fig3_flat"])
+        G, V, N = b.G, b.V, 4096
+        sol = solve_cell(G, V, b.theta0, N=N, init=(0.0, float(b.profile.eval(0.0))))
+    fd, exact = _fd_sensitivities(G, V, N, sol.hbar, sol.p0)
+    assert np.all(np.abs(exact - fd) <= 1e-6 * np.abs(fd)), (exact, fd)
+
+
+def test_newton_runs_one_pass_per_iteration(monkeypatch):
+    # every pass but the last has an unconverged theta and is followed by a
+    # Newton step; the converged pass is the answer, with no pass after it
+    from hjhom import cell
+
+    calls = []
+    shoot = cell._shoot
+
+    def counting(G, grid, lam, p0, **kw):
+        res = shoot(G, grid, lam, p0, **kw)
+        calls.append((np.array(lam, dtype=float), np.array(p0, dtype=float), res))
+        return res
+
+    monkeypatch.setattr(cell, "_shoot", counting)
+    thetas = np.linspace(-1.0, 1.0, 9)
+    sols = solve_cell_many(QUAD, COS, thetas, N=512)
+    assert len(calls) >= 2
+    for k, (lam, p0, res) in enumerate(calls):
+        assert not res.blown.any()
+        conv = ((np.abs(res.f_end - p0) <= cell.TOL_PERIOD)
+                & (np.abs(res.m_end - thetas) <= cell.TOL_THETA))
+        if k < len(calls) - 1:
+            assert not conv.all()
+            moved = (calls[k + 1][0] != lam) | (calls[k + 1][1] != p0)
+            assert np.array_equal(moved, ~conv)
+        else:
+            assert conv.all()
+    lam, p0, res = calls[-1]
+    assert [s.hbar for s in sols] == list(lam)
+    assert [s.p0 for s in sols] == list(p0)
+    for k, s in enumerate(sols):
+        assert np.array_equal(s.f_grid, res.F[k])
+
+
+def test_grid_cache_is_bounded():
+    from hjhom import cell
+
+    for k in range(cell._GRID_CACHE_SIZE + 4):
+        cell._grid_for(cosine_potential(1.0 + k), 64)
+    assert len(cell._GRID_CACHE) == cell._GRID_CACHE_SIZE
+    key = (cosine_potential(1.0 + cell._GRID_CACHE_SIZE + 3).fingerprint, 64)
+    assert key in cell._GRID_CACHE

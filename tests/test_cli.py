@@ -110,6 +110,21 @@ def test_modified_hamiltonian_bundle_roundtrip(tmp_path):
     assert again.theta0 == bundle.theta0
 
 
+def test_numpy_float_bump_roundtrip():
+    # NumPy scalars in BumpParams must give a parseable fingerprint and spec
+    from hjhom.hamiltonians import BumpParams, with_bump
+    from hjhom.pipeline import hamiltonian_from_spec, hamiltonian_to_spec
+
+    bump = BumpParams(a=np.float64(0.5), p0=np.float64(1.5), delta=np.float64(0.25))
+    G = with_bump(get_hamiltonian("quadratic"), bump)
+    spec = hamiltonian_to_spec(G)
+    assert spec == {"base": "quadratic", "bump": {"a": 0.5, "p0": 1.5, "delta": 0.25}}
+    again = hamiltonian_from_spec(json.loads(json.dumps(spec)))
+    assert again.fingerprint == G.fingerprint
+    p = np.linspace(-3, 3, 101)
+    assert np.array_equal(np.asarray(again.eval(p)), np.asarray(G.eval(p)))
+
+
 def test_certify_exit_codes(runner, tmp_path):
     # a certificate-less situation: zero-potential bundle built by hand is
     # impossible through synthesis, so check exit 2 via an over-strict scan

@@ -179,3 +179,41 @@ def test_confirm_prediction_scans_h():
     assert h is not None and h <= 1.0
     pred_bad = GrowthPrediction(theta=1.0, side="right", window=1.0, I_end=1.0)
     assert confirm_prediction(pred_bad, th, hb, hbar_ref=1.0) is None
+
+
+def _scipy_piecewise_reference(y, x, piece_idx):
+    """The per-piece scipy loop the vectorized stencil replaced, one row."""
+    from scipy.integrate import cumulative_simpson
+
+    out = np.empty_like(y)
+    offset = 0.0
+    for a, b in zip(piece_idx[:-1], piece_idx[1:]):
+        if b - a == 1:
+            seg = np.array([0.0, 0.5 * (x[b] - x[a]) * (y[a] + y[b])])
+        else:
+            seg = cumulative_simpson(y[a:b + 1], x=x[a:b + 1], initial=0.0)
+        out[a:b + 1] = offset + seg
+        offset = out[b]
+    return out
+
+
+@pytest.mark.parametrize("name", ["fig2_bump", "fig3_flat", "multid_g1"])
+def test_piecewise_simpson_matches_scipy_loop(name):
+    from hjhom import build_counterexample
+    from hjhom.cell import _grid_for
+    from hjhom.hamiltonians import CERTIFIED_POINTS
+    from hjhom.numerics import cumulative_simpson_pieces
+
+    bundle = build_counterexample(get_hamiltonian(name), *CERTIFIED_POINTS[name])
+    rng = np.random.default_rng(1)
+    for N in (1024, 4096):
+        grid = _grid_for(bundle.V, N)
+        x, pieces = grid.nodes, grid.piece_idx
+        assert len(pieces) > 2
+        Y = np.vstack([np.sin(7.0 * x) + x**2, np.exp(3.0 * x),
+                       np.asarray(bundle.G.d1(bundle.profile.eval(x))),
+                       rng.standard_normal(len(x))])
+        got = cumulative_simpson_pieces(Y, x, pieces)
+        ref = np.vstack([_scipy_piecewise_reference(y, x, pieces) for y in Y])
+        assert got.shape == Y.shape
+        assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-12

@@ -25,7 +25,19 @@ from hjhom.hamiltonians import (
     verify_quasiconvex,
     with_bump,
 )
-from hjhom.numerics import fd_first, fd_second, is_quasiconvex_on_grid, max_abs_on
+from hjhom.numerics import is_quasiconvex_on_grid, max_abs_on
+
+
+def fd_second(fn, p, h: float = 1e-4):
+    """Central second difference, O(h^2)."""
+    p = np.asarray(p, dtype=float)
+    return (fn(p + h) - 2.0 * fn(p) + fn(p - h)) / h**2
+
+
+def fd_first(fn, p, h: float = 1e-5):
+    """Central first difference, O(h^2)."""
+    p = np.asarray(p, dtype=float)
+    return (fn(p + h) - fn(p - h)) / (2.0 * h)
 
 
 def test_bump_values_at_zero():
