@@ -3,17 +3,19 @@ momentum theta, find the unique level hbar and 1-periodic profile f with
 
     f'(x) + G(f(x)) + V(x) = hbar,      integral of f over one period = theta.
 
-The profile is computed by shooting: classical RK4 for the momentum ODE
-f' = lam - G(f) - V(x) on [0, 1], with the period-map fixed point in lam and
-the mean constraint in the initial value p0. Both equations are solved jointly
-by a damped Newton iteration on (lam, p0); everything is vectorized over a
-batch of theta values. Each iteration is one RK4 pass that stores the
-trajectory. The Newton Jacobian is read off that trajectory in closed form:
-with I(x) = int_0^x G'(f), df/dp0 = e^{-I} and df/dlam = e^{-I(x)} int_0^x e^{I},
-the integrating factor of the paper's linearized equation (:func:`linearize`,
-shared with the diagnostics). A nested monotone bracket/Newton path (period
-map strictly increasing in both lam and p0 by scalar-ODE comparison) serves
-as the robust scalar fallback.
+The profile is computed by multiple shooting: RK4 for f' = lam - G(f) - V(x),
+with the steps cut into K segments of SEGMENT_STEPS steps that one batched pass
+integrates from their own start values s_k, for every theta at once. A damped
+Newton iteration on (lam, s_0 .. s_{K-1}) joins each segment's end to the next
+start, cyclically, and fixes the mean. Its Jacobian is read off the pass's
+trajectory in closed form: with I = int G'(f) restarted at each segment start,
+df/ds = e^{-I} and df/dlam = e^{-I(x)} int e^{I}, the integrating factor of the
+paper's linearized equation (:func:`linearize`, shared with the diagnostics);
+the cyclic block-bidiagonal system reduces to one 2x2 solve per theta. Short
+segments keep e^{+-I} bounded, while a single forward shot amplifies errors by
+e^{-I(1)}, which is large where hbar decreases. A row whose pass blows up goes
+back to its last accepted iterate with half the step; a theta that does not
+converge is reported with its reason (:class:`~hjhom.errors.SolveFailure`).
 
 Integration steps are aligned with the potential's breakpoints, and pieces
 between breakpoints get a minimum number of substeps, so the scheme keeps its
@@ -29,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import Blowup, BracketFailure
+from .errors import Blowup, BracketFailure, SolveFailure
 from .hamiltonians import Hamiltonian1D
 from .numerics import PiecewiseSimpson, expand_until, leftmost_crossing, rightmost_crossing
 from .potentials import PeriodicPotential
@@ -41,7 +43,10 @@ HBAR_TOL = 1e-8            # reporting accuracy of hbar
 BLOWUP_GUARD = 1e6
 MIN_PIECE_STEPS = 48       # substeps per smooth piece of a kinked potential
 MIN_HARD_STEPS = 384       # substeps per piece flagged as steeply varying
+SEGMENT_STEPS = 64         # RK4 steps per multiple-shooting segment
 _MAX_NEWTON = 60
+_MAX_PUSHES = 8            # lam pushes of a row that blows up before any accepted pass
+_MAX_HALVINGS = 40         # step halvings of a row that blows up after one
 _LIN_ROWS = 16             # batch rows linearized at a time
 
 
@@ -60,7 +65,7 @@ class _IntegrationGrid:
     v_min: float
     v_max: float
     piece_idx: np.ndarray = None   # indices of smooth-piece edges in nodes
-    quad: PiecewiseSimpson = None  # quadrature on nodes, piece-aware
+    n_seg: int = 1                 # multiple-shooting segments
 
 
 _GRID_CACHE: OrderedDict = OrderedDict()
@@ -114,8 +119,7 @@ def _build_grid(V: PeriodicPotential, N: int) -> _IntegrationGrid:
     piece_idx[-1] = len(nodes) - 1
     return _IntegrationGrid(nodes, h, v_nodes, v_mids, out_col, N + 1,
                             float(v_all.min()), float(v_all.max()),
-                            piece_idx=piece_idx,
-                            quad=PiecewiseSimpson(nodes, piece_idx))
+                            piece_idx=piece_idx, n_seg=-(-len(h) // SEGMENT_STEPS))
 
 
 def _grid_for(V: PeriodicPotential, N: int) -> _IntegrationGrid:
@@ -134,55 +138,68 @@ def _grid_for(V: PeriodicPotential, N: int) -> _IntegrationGrid:
 # batched RK4 shooting kernel
 # ---------------------------------------------------------------------------
 
-def _shoot(G: Hamiltonian1D, grid: _IntegrationGrid, lam, p0,
+def _shoot(G: Hamiltonian1D, grid: _IntegrationGrid, lam, s,
            guard: float = BLOWUP_GUARD) -> SimpleNamespace:
-    """One RK4 pass for a batch of (lam, p0): the trajectories F on the grid
-    nodes (one row per batch entry), their end values, their means over the
-    period, and which rows escaped [-guard, guard]."""
+    """One RK4 pass for a batch of levels lam (B,) and segment start values s
+    (B, K), or (B,) for a single segment. With M grid steps, segment k runs
+    steps k*L .. k*L + L - 1, L = ceil(M / K), from s[:, k]; the last segment
+    is padded with h = 0 steps, which RK4 leaves exact. Returns the
+    trajectories F on the grid nodes (B, M + 1; node k*L holds the end of
+    segment k - 1), the start values s, the segment end values and integrals
+    (B, K), and which rows escaped [-guard, guard]."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    p0 = np.atleast_1d(np.asarray(p0, dtype=float))
-    lam, p0 = np.broadcast_arrays(lam, p0)
-    B = lam.shape[0]
-    f = p0.astype(float).copy()
-    m = np.zeros(B)
+    s = np.array(s, dtype=float, ndmin=1)
+    s = s if s.ndim == 2 else s[:, None]
+    lam, s = np.broadcast_arrays(lam[:, None], s)
+    B, K = s.shape
+    M = len(grid.h)
+    L = -(-M // K)
+    pad = np.zeros(K * L - M)
+    # (L, K, 1): step sizes and potentials of step j in every segment
+    hs, v0, v1, vm = (np.concatenate([a, pad]).reshape(K, L).T[:, :, None]
+                      for a in (grid.h, grid.v_nodes[:-1], grid.v_nodes[1:], grid.v_mids))
+    h2s, h6s = 0.5 * hs, hs / 6.0
+    lam = lam[:, 0]
+    f = s.T.copy()                  # (K, B): row k is segment k
+    m = np.zeros((K, B))
     blown = np.zeros(B, dtype=bool)
-    Ft = np.empty((len(grid.nodes), B))   # node-major: each step stores one row
-    Ft[0] = f
+    Ft = np.empty((K * L + 1, B))   # node-major: each step stores K rows
+    Ft[0] = f[0]
+    Fseg = Ft[1:].reshape(K, L, B)  # Fseg[k, j] is node k*L + j + 1
     ev = G.eval
-    hs = grid.h
-    vn = grid.v_nodes
-    vm = grid.v_mids
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for i in range(len(hs)):
-            h = hs[i]
-            h2 = 0.5 * h
-            vmid = vm[i]
+        for j in range(L):
+            h = hs[j]
+            h2 = h2s[j]
+            vmid = vm[j]
 
-            k1 = lam - ev(f) - vn[i]
+            k1 = lam - ev(f) - v0[j]
             f2 = f + h2 * k1
             k2 = lam - ev(f2) - vmid
             f3 = f + h2 * k2
             k3 = lam - ev(f3) - vmid
             f4 = f + h * k3
-            k4 = lam - ev(f4) - vn[i + 1]
+            k4 = lam - ev(f4) - v1[j]
 
-            m += (h / 6.0) * (f + 2.0 * f2 + 2.0 * f3 + f4)
-            f = f + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            h6 = h6s[j]
+            m += h6 * (f + 2.0 * f2 + 2.0 * f3 + f4)
+            f = f + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
             bad = ~(np.abs(f) < guard)
             if bad.any():
-                blown |= bad
+                blown |= bad.any(axis=0)
                 np.clip(f, -guard, guard, out=f)
                 np.nan_to_num(f, copy=False, nan=guard)
-            Ft[i + 1] = f
-    return SimpleNamespace(F=Ft.T, f_end=f, m_end=m, blown=blown)
+            Fseg[:, j] = f
+    return SimpleNamespace(F=Ft[:M + 1].T, s=s, f_end=f.T, m_end=m.T, blown=blown)
 
 
 def linearize(G: Hamiltonian1D, F, quad: PiecewiseSimpson) -> SimpleNamespace:
     """Closed-form variational solutions of f' = lam - G(f) - V along the
-    trajectories F (rows on quad's nodes): with I(x) = int_0^x G'(f),
-    df/dp0 = e^{-I(x)} and df/dlam = e^{-I(x)} int_0^x e^{I}. The exponentials
-    are scaled by the row maximum of I."""
+    trajectories F (rows on quad's nodes, or on a segmented quad's segments):
+    with I(x) = int_0^x G'(f), df/dp0 = e^{-I(x)} and df/dlam =
+    e^{-I(x)} int_0^x e^{I}, x from the row's start. The exponentials are
+    scaled by the row maximum of I."""
     I = quad.cumulative(G.d1(F))
     top = I.max(axis=-1, keepdims=True)
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
@@ -192,18 +209,49 @@ def linearize(G: Hamiltonian1D, F, quad: PiecewiseSimpson) -> SimpleNamespace:
     return SimpleNamespace(I=I, dlam=dlam, dp0=dp0)
 
 
-def _jacobian(G: Hamiltonian1D, grid: _IntegrationGrid, F, rows):
-    """End values and period means of df/dlam and df/dp0 for the given rows
-    of F, linearized in blocks of _LIN_ROWS rows to bound the temporaries."""
-    out = np.empty((4, len(rows)))
-    for s in range(0, len(rows), _LIN_ROWS):
-        lin = linearize(G, F[rows[s:s + _LIN_ROWS]], grid.quad)
-        blk = slice(s, s + _LIN_ROWS)
-        out[0, blk] = lin.dlam[:, -1]
-        out[1, blk] = lin.dp0[:, -1]
-        out[2, blk] = grid.quad.integral(lin.dlam)
-        out[3, blk] = grid.quad.integral(lin.dp0)
+def _jacobian(G: Hamiltonian1D, grid: _IntegrationGrid, res, rows):
+    """Segment end values and integrals of df/dlam and df/ds along the pass
+    res for the given rows, shape (4, rows, K), with I restarted at every
+    segment start; linearized in blocks of _LIN_ROWS rows."""
+    K = res.s.shape[1]
+    quad = PiecewiseSimpson(grid.nodes, grid.piece_idx, K)
+    L = quad.w.shape[-1]   # steps per segment, as in _shoot
+    idx = np.minimum(np.arange(K)[:, None] * L + np.arange(L + 1), len(grid.h))
+    rows = np.asarray(rows)
+    out = np.empty((4, len(rows), K))
+    for a in range(0, len(rows), _LIN_ROWS):
+        blk = rows[a:a + _LIN_ROWS]
+        F = res.F[blk[:, None, None], idx]   # (rows, K, L + 1)
+        F[..., 0] = res.s[blk]
+        lin = linearize(G, F, quad)
+        out[:, a:a + len(blk)] = (lin.dlam[..., -1], lin.dp0[..., -1],
+                                  quad.integral(lin.dlam), quad.integral(lin.dp0))
     return out
+
+
+def _newton_step(jac, r, R):
+    """Newton step (dlam, ds_0 .. ds_{K-1}) per row of the multiple-shooting system
+        a_k ds_k + b_k dlam - ds_{k+1} = -r_k   (k < K, cyclic: ds_K = ds_0),
+        sum_k (c_k ds_k + d_k dlam) = -R,
+    with (b, a, d, c) = jac. Substituting ds_k = al_k ds_0 + be_k dlam + ga_k
+    leaves one 2x2 system in (ds_0, dlam) per row."""
+    b, a, d, c = jac
+    n, K = a.shape
+    al, be, ga = np.ones((n, K + 1)), np.zeros((n, K + 1)), np.zeros((n, K + 1))
+    for k in range(K):
+        al[:, k + 1] = a[:, k] * al[:, k]
+        be[:, k + 1] = a[:, k] * be[:, k] + b[:, k]
+        ga[:, k + 1] = a[:, k] * ga[:, k] + r[:, k]
+    m11, m12, y1 = al[:, K] - 1.0, be[:, K], -ga[:, K]
+    al, be, ga = al[:, :K], be[:, :K], ga[:, :K]
+    m21 = (c * al).sum(axis=1)
+    m22 = (c * be).sum(axis=1) + d.sum(axis=1)
+    y2 = -R - (c * ga).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        det = m11 * m22 - m12 * m21
+        ds0 = (y1 * m22 - m12 * y2) / det
+        dlam = (m11 * y2 - m21 * y1) / det
+        return np.column_stack([dlam, al * ds0[:, None] + be * dlam[:, None] + ga])
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +376,7 @@ def integrate_cell_ode(G: Hamiltonian1D, V: PeriodicPotential, lam: float,
     res = _shoot(G, grid, lam, p0, guard=guard)
     if res.blown[0]:
         raise Blowup(f"trajectory escaped |f| >= {guard:g} (lam={lam}, p0={p0})")
-    return _uniform(grid, res.F[0]), float(res.f_end[0])
+    return _uniform(grid, res.F[0]), float(res.f_end[0, 0])
 
 
 def _solve_lambda(G, V, grid, p0, tol_period):
@@ -340,7 +388,7 @@ def _solve_lambda(G, V, grid, p0, tol_period):
         out = _shoot(G, grid, lam, p0)
         if out.blown[0]:
             return -np.inf, out  # blow-down: f(1) effectively -inf
-        return float(out.f_end[0] - p0), out
+        return float(out.f_end[0, 0] - p0), out
 
     r0, _ = period_residual(lam0)
     lo = hi = lam0
@@ -372,7 +420,7 @@ def _solve_lambda(G, V, grid, p0, tol_period):
         else:
             lo = lam
         if np.isfinite(r):
-            lam_new = lam - r / float(_jacobian(G, grid, out.F, [0])[0, 0])
+            lam_new = lam - r / float(_jacobian(G, grid, out, [0])[0, 0, 0])
         else:
             lam_new = np.nan
         if not np.isfinite(lam_new) or not (lo < lam_new < hi):
@@ -399,65 +447,19 @@ def solve_lambda_for_periodicity(G: Hamiltonian1D, V: PeriodicPotential, p0: flo
     return lam, _uniform(grid, out.F[0])
 
 
-def _solve_cell_scalar(G, V, theta, N, tol_theta, tol_period):
-    """Nested monotone solve: outer root in p0 for the mean, inner in lam."""
-    grid = _grid_for(V, N)
-
-    def mean_of(p0):
-        lam, out = _solve_lambda(G, V, grid, p0, tol_period)
-        return float(out.m_end[0]), lam, out
-
-    lo = hi = theta
-    m_mid, lam, out = mean_of(theta)
-    r = m_mid - theta
-    step = 0.5
-    r_lo = r_hi = r
-    while r_lo > 0.0:
-        lo -= step
-        step *= 2.0
-        if step > 2.0**24:
-            raise BracketFailure("mean bracket expansion failed (low side)")
-        r_lo = mean_of(lo)[0] - theta
-    step = 0.5
-    while r_hi < 0.0:
-        hi += step
-        step *= 2.0
-        if step > 2.0**24:
-            raise BracketFailure("mean bracket expansion failed (high side)")
-        r_hi = mean_of(hi)[0] - theta
-
-    p0 = 0.5 * (lo + hi)
-    for _ in range(200):
-        m_val, lam, out = mean_of(p0)
-        r = m_val - theta
-        if abs(r) <= tol_theta:
-            break
-        if r > 0.0:
-            hi = p0
-        else:
-            lo = p0
-        sl, sp, ml, mp = _jacobian(G, grid, out.F, [0])[:, 0]
-        dm = mp - ml * (sp - 1.0) / sl
-        p_new = p0 - r / dm if dm > 0 else np.nan
-        if not np.isfinite(p_new) or not (lo < p_new < hi):
-            p_new = 0.5 * (lo + hi)
-        if p_new == p0:
-            break
-        p0 = p_new
-    else:
-        raise BracketFailure("mean iteration did not converge")
-    return _corrector(grid, theta, lam, p0, out.F[0])
-
-
 def solve_cell_many(G: Hamiltonian1D, V: PeriodicPotential, thetas,
                     N: int = DEFAULT_N, tol_theta: float = TOL_THETA,
                     tol_period: float = TOL_PERIOD, init=None,
                     check_bounds: bool = True, allow_shortcircuit: bool = True):
-    """Solve the cell problem for a batch of theta values (vectorized Newton).
+    """Solve the cell problem for a batch of theta values by batched Newton on
+    the multiple-shooting system; ``init`` is (lam, p0), scalars or arrays.
 
     Every Newton iteration is one shooting pass; the pass in which a theta
-    meets both tolerances is its answer. Rows that have converged keep their
-    (lam, p0), so the last pass holds the trajectory of every converged row.
+    meets both tolerances is its answer, and converged rows keep their
+    (lam, s), so the last pass holds all their trajectories. Raises
+    :class:`~hjhom.errors.SolveFailure` naming every theta that did not
+    converge and why (blow-up, iteration cap or singular Jacobian); it
+    carries the solutions of the others.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     B = len(thetas)
@@ -473,59 +475,62 @@ def solve_cell_many(G: Hamiltonian1D, V: PeriodicPotential, thetas,
 
     grid = _grid_for(V, N)
     if init is not None:
-        lam = np.broadcast_to(np.asarray(init[0], dtype=float), (B,)).copy()
-        p0 = np.broadcast_to(np.asarray(init[1], dtype=float), (B,)).copy()
+        lam = np.broadcast_to(np.asarray(init[0], dtype=float), (B,))
+        p0 = np.broadcast_to(np.asarray(init[1], dtype=float), (B,))
     else:
         lam = np.asarray(G.eval(thetas), dtype=float) + V.mean
-        p0 = thetas.copy()
+        p0 = thetas
+    x = np.column_stack([lam] + [p0] * grid.n_seg)  # rows (lam, s_0 .. s_{K-1})
 
     push = grid.v_max - grid.v_min + 1.0
-    blow_count = np.zeros(B, dtype=int)
+    pushes = np.zeros(B, dtype=int)
+    halvings = np.zeros(B, dtype=int)
+    accepted = np.zeros(B, dtype=bool)  # a pass from this row stayed bounded:
+    acc, step = x.copy(), np.zeros_like(x)  # its last such x, and the step since
     converged = np.zeros(B, dtype=bool)
-    for _ in range(_MAX_NEWTON):
+    reason = np.full(B, "", dtype=object)  # why a row stopped unconverged
+    for it in range(_MAX_NEWTON):
         res = None  # release the previous pass's trajectories first
-        res = _shoot(G, grid, lam, p0)
-        if res.blown.any():
-            b = res.blown
-            blow_count[b] += 1
-            lam[b] += push * 2.0 ** blow_count[b]
-            p0[b] = 0.5 * (p0[b] + thetas[b])
-            if np.any(blow_count > 8):
-                break
-            continue
-        r1 = res.f_end - p0
-        r2 = res.m_end - thetas
-        converged = (np.abs(r1) <= tol_period) & (np.abs(r2) <= tol_theta)
-        if converged.all():
-            break
-        act = np.flatnonzero(~converged)
-        j11, sp, j21, j22 = _jacobian(G, grid, res.F, act)
-        j12 = sp - 1.0
-        r1 = r1[act]
-        r2 = r2[act]
-        det = j11 * j22 - j12 * j21
-        ok = np.abs(det) > 1e-300
-        det = np.where(ok, det, 1.0)
-        dlam = (-r1 * j22 + r2 * j12) / det
-        dp0 = (-j11 * r2 + j21 * r1) / det
-        cap_l = 2.0 + 0.5 * np.abs(lam[act])
-        cap_p = 1.0
-        scale = np.minimum(1.0, np.minimum(cap_l / np.maximum(np.abs(dlam), 1e-300),
-                                           cap_p / np.maximum(np.abs(dp0), 1e-300)))
-        lam[act] = np.where(ok, lam[act] + scale * dlam, lam[act])
-        p0[act] = np.where(ok, p0[act] + scale * dp0, p0[act])
+        res = _shoot(G, grid, x[:, 0], x[:, 1:])
+        live = ~converged & (reason == "")
+        blown = res.blown & live
+        back = blown & accepted
+        halvings[back] += 1
+        step[back] *= 0.5
+        x[back] = acc[back] + step[back]
+        fresh = blown & ~accepted
+        pushes[fresh] += 1
+        x[fresh, 0] += push * 2.0 ** pushes[fresh]
+        x[fresh, 1:] = 0.5 * (x[fresh, 1:] + thetas[fresh, None])
+        reason[blown & ((halvings > _MAX_HALVINGS) | (pushes > _MAX_PUSHES))] = "blow-up"
 
-    solutions = [None] * B
-    for k in range(B):
-        if converged[k] and not res.blown[k]:
-            solutions[k] = _corrector(grid, thetas[k], lam[k], p0[k], res.F[k])
+        ok = live & ~res.blown
+        accepted |= ok
+        acc[ok] = x[ok]
+        r = res.f_end - np.roll(res.s, -1, axis=1)
+        R = res.m_end.sum(axis=1) - thetas
+        converged |= ok & (np.abs(r).max(axis=1) <= tol_period) & (np.abs(R) <= tol_theta)
+        act = np.flatnonzero(ok & ~converged)
+        if it == _MAX_NEWTON - 1 or (converged | (reason != "")).all():
+            break
+        if not act.size:
+            continue  # only rows that blew up remain, and they have moved
+        d = _newton_step(_jacobian(G, grid, res, act), r[act], R[act])
+        sing = ~np.isfinite(d).all(axis=1)
+        reason[act[sing]] = "singular Jacobian"
+        act, d = act[~sing], d[~sing]
+        cap = 2.0 + 0.5 * np.abs(x[act])
+        scale = np.minimum(1.0, (cap / np.maximum(np.abs(d), 1e-300)).min(axis=1))
+        step[act] = scale[:, None] * d
+        x[act] += step[act]
+
+    solutions = [_corrector(grid, thetas[k], x[k, 0], x[k, 1], res.F[k]) if converged[k]
+                 else None for k in range(B)]
     res = None
-    for k in range(B):
-        if solutions[k] is None:
-            solutions[k] = _solve_cell_scalar(G, V, float(thetas[k]), N,
-                                              tol_theta, tol_period)
+    pending = ~converged & (reason == "")
+    reason[pending] = np.where(blown[pending], "blow-up", "iteration cap")
     if check_bounds:
-        for sol in solutions:
+        for sol in filter(None, solutions):
             lo, up = sandwich_bounds(G, V, sol.theta, N=N)
             if not (lo - 1e-7 <= sol.hbar <= up + 1e-7):
                 raise RuntimeError(
@@ -534,6 +539,9 @@ def solve_cell_many(G: Hamiltonian1D, V: PeriodicPotential, thetas,
             if not (sol.f_grid.min() >= pm - 1e-6 and sol.f_grid.max() <= pp + 1e-6):
                 raise RuntimeError(
                     f"corrector escapes [{pm!r}, {pp!r}] at theta={sol.theta!r}")
+    if not converged.all():
+        raise SolveFailure([(float(thetas[k]), reason[k]) for k in np.flatnonzero(~converged)],
+                           solutions)
     return solutions
 
 
@@ -566,28 +574,17 @@ def sweep_hbar(G: Hamiltonian1D, V: PeriodicPotential, theta_min: float,
                theta_max: float, n_points: int, N: int = DEFAULT_N,
                **kw) -> SweepResult:
     """Effective Hamiltonian on a uniform theta grid, solved as one batch;
-    per-point failures are recorded rather than fatal."""
+    thetas that do not converge go to ``failures`` as (theta, reason)."""
     if not theta_min < theta_max:
         raise ValueError("need theta_min < theta_max")
     if n_points < 2:
         raise ValueError("need at least two sweep points")
     thetas = np.linspace(theta_min, theta_max, n_points)
     try:
-        results = solve_cell_many(G, V, thetas, N=N, **kw)
-    except Exception:  # pragma: no cover - per-point fallback
-        results = []
-        for th in thetas:
-            try:
-                results.append(solve_cell(G, V, float(th), N=N, **kw))
-            except Exception as inner:
-                results.append((float(th), str(inner)))
-
-    solutions, failures = [], []
-    for item in results:
-        if isinstance(item, CorrectorSolution):
-            solutions.append(item)
-        else:
-            failures.append(item)
+        results, failures = solve_cell_many(G, V, thetas, N=N, **kw), []
+    except SolveFailure as exc:
+        results, failures = exc.solutions, exc.failures
+    solutions = [sol for sol in results if sol is not None]
     return SweepResult(
         thetas=np.array([s.theta for s in solutions]),
         hbars=np.array([s.hbar for s in solutions]),

@@ -137,7 +137,7 @@ def sweep(hamiltonian, potential, theta, grid_n, out, config):
 
 
 @main.command()
-@click.option("--hamiltonian", required=True, help=f"label in {available()}")
+@click.option("--hamiltonian", required=True, help=f"label in {available()} or csv:PATH")
 @click.option("--p1", type=float, default=None, help="left certified momentum")
 @click.option("--p2", type=float, default=None, help="right certified momentum")
 @click.option("--modify", default=None,

@@ -29,6 +29,17 @@ class BracketFailure(RuntimeError):
     """No sign change found inside the search guard."""
 
 
+class SolveFailure(RuntimeError):
+    """Cell solves that did not converge. ``failures`` lists (theta, reason);
+    ``solutions`` holds the batch's results, None at the failed thetas."""
+
+    def __init__(self, failures, solutions):
+        super().__init__("cell solve failed at "
+                         + "; ".join(f"theta={t!r} ({why})" for t, why in failures))
+        self.failures = failures
+        self.solutions = solutions
+
+
 class Instability(RuntimeError):
     """Parabolic run developed grid oscillations beyond the monitor threshold."""
 

@@ -9,7 +9,8 @@ immutable and safe to share across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,7 +46,10 @@ class Hamiltonian1D:
     """Twice-differentiable scalar Hamiltonian with exact derivatives.
 
     ``growth`` is optional superlinearity metadata (eta, alpha0, alpha1) for
-    alpha0*|p|^eta - 1/alpha0 <= G(p) <= alpha1*(|p|^eta + 1).
+    alpha0*|p|^eta - 1/alpha0 <= G(p) <= alpha1*(|p|^eta + 1). ``spec`` says
+    how to rebuild it (``pipeline.hamiltonian_from_spec``): a catalog name, a
+    CSV path and digest, or a base plus one bump; None if it cannot be
+    rebuilt.
     """
 
     label: str
@@ -54,6 +58,7 @@ class Hamiltonian1D:
     d2: Callable
     growth: Optional[tuple] = None
     fingerprint: str = ""
+    spec: Optional[dict] = field(default=None, compare=False)
 
     def __post_init__(self):
         if not self.fingerprint:
@@ -95,7 +100,9 @@ def with_bump(base: Hamiltonian1D, bump: BumpParams, label: str = "") -> Hamilto
         return base.d2(p) + (a / d) * bump_psi_d2((np.asarray(p, dtype=float) - p0) / d)
 
     fp = f"{base.fingerprint}+bump(a={a!r},p0={p0!r},delta={d!r})"
-    return Hamiltonian1D(label or fp, ev, d1, d2, growth=None, fingerprint=fp)
+    spec = None if base.spec is None else {"base": base.spec.get("name", base.spec),
+                                           "bump": {"a": a, "p0": p0, "delta": d}}
+    return Hamiltonian1D(label or fp, ev, d1, d2, growth=None, fingerprint=fp, spec=spec)
 
 
 def reflect(G: Hamiltonian1D) -> Hamiltonian1D:
@@ -203,7 +210,7 @@ def get_hamiltonian(name: str) -> Hamiltonian1D:
     if name not in _FACTORIES:
         raise KeyError(f"unknown Hamiltonian {name!r}; available: {available()}")
     if name not in _CACHE:
-        _CACHE[name] = _FACTORIES[name]()
+        _CACHE[name] = replace(_FACTORIES[name](), spec={"name": name})
     return _CACHE[name]
 
 
@@ -228,7 +235,8 @@ def load_hamiltonian_csv(path) -> Hamiltonian1D:
     import hashlib
 
     digest = hashlib.sha256(np.ascontiguousarray(raw).tobytes()).hexdigest()[:16]
-    return Hamiltonian1D(f"csv:{path}", s0, s1, s2, fingerprint=f"csv:{digest}")
+    return Hamiltonian1D(f"csv:{path}", s0, s1, s2, fingerprint=f"csv:{digest}",
+                         spec={"csv": str(Path(path).resolve()), "sha": digest})
 
 
 # ---------------------------------------------------------------------------

@@ -101,13 +101,23 @@ class PiecewiseSimpson:
     one interval the trapezoid. The weights come from the step sizes alone, so
     they stay accurate where the spacing is far below |x|. Integrands may carry
     leading batch axes.
+
+    With ``segments`` = K > 1 the intervals are cut into K runs of L = ceil(n/K)
+    (the last one padded with zero-width intervals), each integrated from its
+    own start: integrands then have shape (..., K, L + 1), one row of nodes per
+    segment, and segment edges are piece edges.
     """
 
-    def __init__(self, x, piece_idx=None):
+    def __init__(self, x, piece_idx=None, segments: int = 1):
         h = np.diff(np.asarray(x, dtype=float))
         n = len(h)
-        edges = (np.array([0, n]) if piece_idx is None or len(piece_idx) <= 2
-                 else np.asarray(piece_idx))
+        L = -(-n // segments)
+        edges = np.union1d([0, n] if piece_idx is None else piece_idx,
+                           np.arange(0, segments * L + 1, L))
+        # every padding interval is a piece of its own: trapezoid of width 0
+        edges = np.union1d(edges, np.arange(n, segments * L + 1))
+        h = np.concatenate([h, np.zeros(segments * L - n)])
+        n = len(h)
         size = np.diff(edges)
         length = np.repeat(size, size)
         k = np.arange(n) - np.repeat(edges[:-1], size)
@@ -119,14 +129,14 @@ class PiecewiseSimpson:
         w[2, j], w[1, j], w[0, j] = _stencil_weights(h[j], h[j - 1])
         j = np.flatnonzero(length == 1)
         w[1, j] = w[2, j] = 0.5 * h[j]
-        self.w = w
+        self.w = w if segments == 1 else w.reshape(4, segments, L)
 
     def intervals(self, y):
         """Integral of y over each interval, shape (..., n - 1)."""
         w = self.w
         sub = w[1] * y[..., :-1] + w[2] * y[..., 1:]
-        sub[..., 1:] += w[0, 1:] * y[..., :-2]
-        sub[..., :-1] += w[3, :-1] * y[..., 2:]
+        sub[..., 1:] += w[0][..., 1:] * y[..., :-2]
+        sub[..., :-1] += w[3][..., :-1] * y[..., 2:]
         return sub
 
     def cumulative(self, y):

@@ -146,28 +146,24 @@ def run_pipeline(name_or_G, p1: Optional[float] = None, p2: Optional[float] = No
 # ---------------------------------------------------------------------------
 
 def hamiltonian_to_spec(G: Hamiltonian1D) -> dict:
-    from .hamiltonians import _FACTORIES  # catalog names
-
-    if G.label in _FACTORIES:
-        return {"name": G.label}
-    fp = G.fingerprint
-    if "+bump(" in fp:
-        base_fp, rest = fp.split("+bump(", 1)
-        if base_fp in _FACTORIES:
-            params = dict(kv.split("=") for kv in rest.rstrip(")").split(","))
-            return {"base": base_fp,
-                    "bump": {k: float(v) for k, v in params.items()}}
-    raise ValueError(f"Hamiltonian {G.label!r} is not serializable by name")
+    if G.spec is None:
+        raise ValueError(f"Hamiltonian {G.label!r} has no spec to rebuild it from")
+    return G.spec
 
 
 def hamiltonian_from_spec(spec: dict) -> Hamiltonian1D:
     if "name" in spec:
         return get_hamiltonian(spec["name"])
     if "csv" in spec:
-        return load_hamiltonian_csv(spec["csv"])
+        G = load_hamiltonian_csv(spec["csv"])
+        if "sha" in spec and G.fingerprint != f"csv:{spec['sha']}":
+            raise ValueError(f"{spec['csv']} changed since the spec was written")
+        return G
     if "base" in spec:
+        base = spec["base"]  # a catalog name, or a spec for nested bumps
         b = spec["bump"]
-        return with_bump(get_hamiltonian(spec["base"]),
+        return with_bump(get_hamiltonian(base) if isinstance(base, str)
+                         else hamiltonian_from_spec(base),
                          BumpParams(a=b["a"], p0=b["p0"], delta=b["delta"]))
     raise ValueError(f"unrecognized Hamiltonian spec: {spec}")
 

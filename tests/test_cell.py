@@ -147,11 +147,72 @@ def test_sweep_zero_potential_reproduces_G():
 
 
 def test_sweep_reflection_covariance():
-    # sweeping the reflected system reverses the curve in theta
-    G = get_hamiltonian("fig2_bump")
-    sw = sweep_hbar(G, COS, -0.8, 0.8, 17, N=512)
-    sw_r = sweep_hbar(reflect(G), reflect_potential(COS), -0.8, 0.8, 17, N=512)
-    assert np.allclose(sw_r.hbars, sw.hbars[::-1], atol=5e-10)
+    # sweeping the reflected system reverses the curve in theta; the second
+    # case reaches theta = -6, where a forward shot amplifies errors by e^6
+    cases = [(get_hamiltonian("fig2_bump"), COS, 0.8, 17, 512, 5e-10),
+             (QUAD, cosine_potential(5.0), 6.0, 25, 1024, 1e-11)]
+    for G, V, span, n, N, atol in cases:
+        sw = sweep_hbar(G, V, -span, span, n, N=N)
+        sw_r = sweep_hbar(reflect(G), reflect_potential(V), -span, span, n, N=N)
+        assert not sw.failures and not sw_r.failures
+        assert np.allclose(sw_r.hbars, sw.hbars[::-1], rtol=0.0, atol=atol)
+
+
+def test_solver_envelope_against_oracle():
+    # quadratic G with cosine potentials up to amplitude 200 on theta in
+    # [-6, 6]: every theta is solved or reported, and solved ones match the
+    # Hopf-Cole oracle
+    from hjhom.pde import hopf_cole_oracle
+
+    thetas = np.linspace(-6.0, 6.0, 25)
+    for amp, k in ((1.0, 1), (5.0, 1), (30.0, 3), (200.0, 1)):
+        V = cosine_potential(amp, k)
+        sw = sweep_hbar(QUAD, V, -6.0, 6.0, 25, N=1024)
+        failed = [th for th, _ in sw.failures]
+        assert sorted(list(sw.thetas) + failed) == list(thetas)
+        assert all(why for _, why in sw.failures)
+        for i in range(0, len(sw.thetas), 6):
+            oracle = hopf_cole_oracle(V, float(sw.thetas[i]), n_x=2048)
+            assert abs(sw.hbars[i] - oracle) < 1e-6, (amp, k, sw.thetas[i])
+
+
+def test_unconverged_thetas_are_reported_not_resolved(monkeypatch):
+    # with two passes allowed, exactly the thetas that have not converged are
+    # failures, each with a reason; the others are solved, nothing is re-solved
+    from hjhom import cell
+    from hjhom.errors import SolveFailure
+
+    calls = []
+    shoot = cell._shoot
+
+    def counting(G, grid, lam, s, **kw):
+        res = shoot(G, grid, lam, s, **kw)
+        calls.append((np.array(s, dtype=float), res))
+        return res
+
+    monkeypatch.setattr(cell, "_MAX_NEWTON", 2)
+    monkeypatch.setattr(cell, "_shoot", counting)
+    thetas = np.linspace(-1.0, 1.0, 9)
+    # V = 0: the flat corrector at the exact level solves every other theta at
+    # once; the rest start 0.3 off in the level
+    lam0 = np.asarray(QUAD.eval(thetas)) + np.where(np.arange(9) % 2, 0.3, 0.0)
+    kw = dict(N=256, init=(lam0, thetas), allow_shortcircuit=False)
+    sw = sweep_hbar(QUAD, zero_potential(), -1.0, 1.0, 9, **kw)
+    assert len(calls) <= 2
+    s, res = calls[-1]
+    r = res.f_end - np.roll(s, -1, axis=1)
+    conv = ((np.abs(r).max(axis=1) <= cell.TOL_PERIOD)
+            & (np.abs(res.m_end.sum(axis=1) - thetas) <= cell.TOL_THETA))
+    assert 0 < conv.sum() < len(thetas)
+    assert [th for th, _ in sw.failures] == list(thetas[~conv])
+    assert all(why == "iteration cap" for _, why in sw.failures)
+    assert np.array_equal(sw.thetas, thetas[conv])
+    assert np.array_equal(sw.hbars, lam0[conv])
+    # any other caller gets one exception that names every failed theta
+    with pytest.raises(SolveFailure) as exc:
+        solve_cell_many(QUAD, zero_potential(), thetas, **kw)
+    assert exc.value.failures == sw.failures
+    assert all(f"theta={th!r} (iteration cap)" in str(exc.value) for th, _ in sw.failures)
 
 
 def test_grid_refinement_is_fourth_order():
@@ -212,22 +273,29 @@ def test_synthesized_potential_lipschitz_metadata(fig3_certified):
     assert np.all(gap <= V.lipschitz_const * np.abs(x - y) * (1 + 1e-6) + 1e-12)
 
 
-def _fd_sensitivities(G, V, N, lam, p0, d=1e-6):
-    """Central differences of the pass end values f(1) and mean in (lam, p0)."""
+def _fd_sensitivities(G, V, N, lam, p0, segments, d=1e-6):
+    """Central differences of the segment end values and integrals in lam and
+    in the start values, against the closed forms; the segments start on the
+    single-shot trajectory from (lam, p0)."""
     from hjhom import cell
 
     grid = cell._grid_for(V, N)
-    res = cell._shoot(G, grid, [lam + d, lam - d, lam, lam], [p0, p0, p0 + d, p0 - d])
+    M = len(grid.h)
+    edges = np.arange(segments) * -(-M // segments)
+    s = cell._shoot(G, grid, lam, p0).F[0, edges]
+    res = cell._shoot(G, grid, [lam + d, lam - d, lam, lam], [s, s, s + d, s - d])
     assert not res.blown.any()
     fe, me = res.f_end, res.m_end
     fd = np.array([(fe[0] - fe[1]), (fe[2] - fe[3]), (me[0] - me[1]), (me[2] - me[3])])
-    exact = cell._jacobian(G, grid, cell._shoot(G, grid, lam, p0).F, [0])[:, 0]
+    exact = cell._jacobian(G, grid, cell._shoot(G, grid, lam, s[None]), [0])[:, 0]
     return fd / (2.0 * d), exact
 
 
 @pytest.mark.parametrize("case", ["cosine5", "fig3"])
 def test_closed_form_sensitivities_match_finite_differences(case):
     # sl, sp, ml, mp from e^{-I} and e^{-I} int e^{I} against the pass itself
+    from hjhom import cell
+
     if case == "cosine5":
         G, V, N = QUAD, cosine_potential(5.0), 1024
         sol = solve_cell(G, V, 0.7, N=N)
@@ -239,42 +307,52 @@ def test_closed_form_sensitivities_match_finite_differences(case):
                                  *CERTIFIED_POINTS["fig3_flat"])
         G, V, N = b.G, b.V, 4096
         sol = solve_cell(G, V, b.theta0, N=N, init=(0.0, float(b.profile.eval(0.0))))
-    fd, exact = _fd_sensitivities(G, V, N, sol.hbar, sol.p0)
-    assert np.all(np.abs(exact - fd) <= 1e-6 * np.abs(fd)), (exact, fd)
+    # one segment (the single shot) and the solver's multiple-shooting split
+    grid_segments = cell._grid_for(V, N).n_seg
+    assert grid_segments > 1
+    # a segment's end and integral derivatives are O(1/K) and O(1/K^2), so the
+    # split case takes a wider difference step to keep the reference's roundoff
+    # below the tolerance
+    for segments, d in ((1, 1e-6), (grid_segments, 1e-4)):
+        fd, exact = _fd_sensitivities(G, V, N, sol.hbar, sol.p0, segments, d=d)
+        assert np.all(np.abs(exact - fd) <= 1e-6 * np.abs(fd)), (segments, exact, fd)
 
 
 def test_newton_runs_one_pass_per_iteration(monkeypatch):
     # every pass but the last has an unconverged theta and is followed by a
-    # Newton step; the converged pass is the answer, with no pass after it
+    # Newton step on (lam, segment starts); the converged pass is the answer,
+    # with no pass after it
     from hjhom import cell
 
     calls = []
     shoot = cell._shoot
 
-    def counting(G, grid, lam, p0, **kw):
-        res = shoot(G, grid, lam, p0, **kw)
-        calls.append((np.array(lam, dtype=float), np.array(p0, dtype=float), res))
+    def counting(G, grid, lam, s, **kw):
+        res = shoot(G, grid, lam, s, **kw)
+        calls.append((np.array(lam, dtype=float), np.array(s, dtype=float), res))
         return res
 
     monkeypatch.setattr(cell, "_shoot", counting)
     thetas = np.linspace(-1.0, 1.0, 9)
     sols = solve_cell_many(QUAD, COS, thetas, N=512)
     assert len(calls) >= 2
-    for k, (lam, p0, res) in enumerate(calls):
+    for k, (lam, s, res) in enumerate(calls):
+        assert s.shape == (len(thetas), cell._grid_for(COS, 512).n_seg)
         assert not res.blown.any()
-        conv = ((np.abs(res.f_end - p0) <= cell.TOL_PERIOD)
-                & (np.abs(res.m_end - thetas) <= cell.TOL_THETA))
+        r = res.f_end - np.roll(s, -1, axis=1)
+        conv = ((np.abs(r).max(axis=1) <= cell.TOL_PERIOD)
+                & (np.abs(res.m_end.sum(axis=1) - thetas) <= cell.TOL_THETA))
         if k < len(calls) - 1:
             assert not conv.all()
-            moved = (calls[k + 1][0] != lam) | (calls[k + 1][1] != p0)
+            moved = (calls[k + 1][0] != lam) | (calls[k + 1][1] != s).any(axis=1)
             assert np.array_equal(moved, ~conv)
         else:
             assert conv.all()
-    lam, p0, res = calls[-1]
-    assert [s.hbar for s in sols] == list(lam)
-    assert [s.p0 for s in sols] == list(p0)
-    for k, s in enumerate(sols):
-        assert np.array_equal(s.f_grid, res.F[k])
+    lam, s, res = calls[-1]
+    assert [sol.hbar for sol in sols] == list(lam)
+    assert [sol.p0 for sol in sols] == list(s[:, 0])
+    for k, sol in enumerate(sols):
+        assert np.array_equal(sol.f_grid, res.F[k])
 
 
 def test_grid_cache_is_bounded():

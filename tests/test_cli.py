@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from hjhom.cli import main
 from hjhom import load_bundle, save_bundle, sweep_hbar
 from hjhom.synth import build_counterexample
-from hjhom.hamiltonians import CERTIFIED_POINTS, get_hamiltonian
+from hjhom.hamiltonians import CERTIFIED_POINTS, get_hamiltonian, load_hamiltonian_csv
 
 
 @pytest.fixture()
@@ -123,6 +123,48 @@ def test_numpy_float_bump_roundtrip():
     assert again.fingerprint == G.fingerprint
     p = np.linspace(-3, 3, 101)
     assert np.array_equal(np.asarray(again.eval(p)), np.asarray(G.eval(p)))
+
+
+def test_csv_hamiltonian_bundle_roundtrip(runner, tmp_path):
+    # a csv: Hamiltonian is saved by path and digest, so certify can reload it
+    G = get_hamiltonian("multid_g1")
+    p = np.linspace(-8.0, 8.0, 4001)
+    table = tmp_path / "G.csv"
+    with open(table, "w") as fh:
+        fh.write("p,G,G1,G2\n")
+        for row in zip(p, G.eval(p), G.d1(p), G.d2(p)):
+            fh.write(",".join("%.17g" % v for v in row) + "\n")
+    r = invoke(runner, ["synthesize", "--hamiltonian", f"csv:{table}",
+                        "--p1=-1", "--p2", "1", "--out-dir", str(tmp_path)])
+    assert r.exit_code == 0
+    man = json.loads((tmp_path / "bundle.json").read_text())
+    assert man["hamiltonian"]["csv"] == str(table.resolve())
+    again = load_bundle(tmp_path / "bundle.json")
+    assert np.array_equal(again.G.eval(p), load_hamiltonian_csv(table).eval(p))
+    r = invoke(runner, ["certify", "--bundle", str(tmp_path / "bundle.json"),
+                        "--points", "33", "--grid-n", "1024",
+                        "--out-dir", str(tmp_path)])
+    assert r.exit_code == 0
+    with open(table, "a") as fh:
+        fh.write("8.5,1,1,1\n")
+    with pytest.raises(ValueError, match="changed"):
+        load_bundle(tmp_path / "bundle.json")
+
+
+def test_nested_bump_spec_roundtrip():
+    # a bump on a bumped base serializes as a nested spec
+    from hjhom.hamiltonians import BumpParams, with_bump
+    from hjhom.pipeline import hamiltonian_from_spec, hamiltonian_to_spec
+
+    inner = with_bump(get_hamiltonian("quadratic"), BumpParams(a=0.5, p0=1.5, delta=0.25))
+    p = np.linspace(-3, 3, 601)
+    for G in (with_bump(inner, BumpParams(a=-0.25, p0=-1.0, delta=0.5)),
+              with_bump(get_hamiltonian("fig3_flat"), BumpParams(a=0.2, p0=1.0, delta=0.1))):
+        spec = hamiltonian_to_spec(G)
+        again = hamiltonian_from_spec(json.loads(json.dumps(spec)))
+        assert again.fingerprint == G.fingerprint
+        assert np.array_equal(np.asarray(again.eval(p)), np.asarray(G.eval(p)))
+    assert spec["base"] == "fig3_flat"
 
 
 def test_certify_exit_codes(runner, tmp_path):
